@@ -12,7 +12,8 @@
 //!
 //! The catalogue ([`KNOBS`]) is machine-readable: `experiments --list-env`
 //! dumps every knob with its current value, so "what is this sweep
-//! actually configured to do" has a one-command answer.
+//! actually configured to do" has a one-command answer, and each entry
+//! carries its typed parser, so [`validate_all`] checks every knob.
 //!
 //! Boolean knobs accept `1/true/on/yes` and `0/false/off/no` (case
 //! insensitive; empty = unset). Note the behavior fix for
@@ -37,6 +38,9 @@ pub struct Knob {
     pub name: &'static str,
     /// What it accepts and does, one line.
     pub summary: &'static str,
+    /// Runs the knob's typed parser over the live environment, discarding
+    /// the value (see [`validate_all`]).
+    pub check: fn() -> Result<(), EnvError>,
 }
 
 /// Every `IPCP_*` knob the bench/tools layer reads, in display order.
@@ -44,54 +48,67 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "IPCP_JOBS",
         summary: "worker threads for in-process job fan-out (positive integer; default: all cores; 1 = serial reference mode)",
+        check: || jobs().map(drop),
     },
     Knob {
         name: "IPCP_SCALE",
         summary: "run scale: \"paper\" or \"<warmup>,<instructions>\" (default: 100000,400000)",
+        check: || scale().map(drop),
     },
     Knob {
         name: "IPCP_CSV",
         summary: "directory for per-table CSV exports (empty/unset: no CSVs)",
+        check: || csv_dir().map(drop),
     },
     Knob {
         name: "IPCP_JSON",
-        summary: "directory for <name>.data.json figure sidecars (empty: disabled; the experiments driver and sweepd default it to the results dir)",
+        summary: "directory for <name>.data.json figure sidecars (empty: disabled; `experiments` defaults it to the results dir)",
+        check: || json_dir().map(drop),
     },
     Knob {
         name: "IPCP_SIMCACHE",
         summary: "boolean: enable the content-addressed simulation result cache",
+        check: || simcache_enabled().map(drop),
     },
     Knob {
         name: "IPCP_SIMCACHE_DIR",
         summary: "simcache directory (default: target/simcache)",
+        check: || simcache_dir().map(drop),
     },
     Knob {
         name: "IPCP_SIMCACHE_STATS",
-        summary: "file to dump this process's simcache hit/miss/store counters into (set per child by the drivers)",
+        summary: "file to dump this process's simcache hit/miss/store counters into (`experiments` sets one per child)",
+        check: || raw("IPCP_SIMCACHE_STATS").map(drop),
     },
     Knob {
         name: "IPCP_MIXES",
         summary: "number of random 4-core mixes in fig15_multicore (non-negative integer; default 4)",
+        check: || mixes(0).map(drop),
     },
     Knob {
         name: "IPCP_FE_FOOTPRINTS",
-        summary: "number of fe-deep footprint-ladder traces (smallest first) the frontend figures sweep (non-negative integer; default 4 = full ladder)",
+        summary: "number of fe-deep footprint-ladder traces (smallest first) fe01_l1i_mpki sweeps (non-negative integer; default 4 = full ladder; fe02 always runs the full suite)",
+        check: || fe_footprints(0).map(drop),
     },
     Knob {
         name: "IPCP_INTERVAL",
         summary: "interval-sampler period in retired instructions (positive integer; unset/empty: sampler off)",
+        check: || interval().map(drop),
     },
     Knob {
         name: "IPCP_NO_FASTPATH",
         summary: "boolean: run on the naive (oracle) paths with every exact-behavior fast path disabled",
+        check: || no_fastpath().map(drop),
     },
     Knob {
         name: "IPCP_SCHED_STATS",
         summary: "boolean: export wakeup-scheduler counters (wakeups fired, executed/skipped cycles, heap peak) into report JSON as a \"sched\" object — changes report bytes, so leave unset for golden/oracle comparisons",
+        check: || sched_stats().map(drop),
     },
     Knob {
         name: "IPCP_PHASE_STATS",
         summary: "boolean: export coarse wall-clock phase timers (decode/issue/fill/train/drain ns) into report JSON as a \"phases\" object — nondeterministic and changes report bytes, so leave unset for golden/oracle comparisons (perf_smoke --profile sets it)",
+        check: || phase_stats().map(drop),
     },
 ];
 
@@ -246,8 +263,8 @@ pub fn mixes(default: usize) -> Result<usize, EnvError> {
     parse_count("IPCP_MIXES", raw("IPCP_MIXES")?.as_deref(), default)
 }
 
-/// `IPCP_FE_FOOTPRINTS`: how many fe-deep footprint-ladder traces the
-/// frontend figures sweep, smallest first (so `1` is a quick smoke run
+/// `IPCP_FE_FOOTPRINTS`: how many fe-deep footprint-ladder traces
+/// `fe01_l1i_mpki` sweeps, smallest first (so `1` is a quick smoke run
 /// over the 256 KB footprint only).
 pub fn fe_footprints(default: usize) -> Result<usize, EnvError> {
     parse_count(
@@ -297,6 +314,29 @@ pub fn phase_stats() -> Result<bool, EnvError> {
         raw("IPCP_PHASE_STATS")?.as_deref(),
         false,
     )
+}
+
+/// Runs every catalogued knob's typed parser over the live environment —
+/// what `experiments` calls before its first spawn, so a malformed value in
+/// any knob stops the sweep loudly instead of reaching some figures
+/// unchecked.
+///
+/// # Errors
+///
+/// The first set-but-malformed knob, in catalogue order.
+pub fn validate_all() -> Result<(), EnvError> {
+    KNOBS.iter().try_for_each(|k| (k.check)())
+}
+
+/// Every catalogued knob that is set (empty values included), with its
+/// value, in catalogue order — a sweep's provenance as recorded in the
+/// manifest. Non-unicode values are skipped ([`validate_all`] rejects
+/// them).
+pub fn set_knobs() -> Vec<(&'static str, String)> {
+    KNOBS
+        .iter()
+        .filter_map(|k| Some((k.name, std::env::var(k.name).ok()?)))
+        .collect()
 }
 
 /// Renders the knob catalogue with current values — the body of

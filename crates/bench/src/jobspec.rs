@@ -1,25 +1,13 @@
-//! [`JobSpec`]: the typed description of one experiment job, and its
-//! executor — the jobs-first surface that replaced the harness's retired
-//! positional-arg + `extra_env` `run_experiment` entry point.
+//! One experiment job: spawn a figure binary, capture its output, and
+//! report the outcome — how the `experiments` tool runs each figure.
 //!
-//! A spec names the figure binary and carries every knob the run depends
-//! on *explicitly*: scale, mix count, sampler interval, oracle mode,
-//! sidecar directories, and any residual env overrides. [`execute`] is
-//! **spec-authoritative**: it clears every catalogued `IPCP_*` variable
-//! from the child environment before applying the spec, so a worker's
-//! ambient environment can never leak into a result. That property is
-//! what makes the distributed sweep fabric honest — a lease executed on
-//! any worker is the same simulation the coordinator described.
-//!
-//! Specs serialize to JSON (the fabric's `queue/` files) and hash to a
-//! stable **content key** ([`JobSpec::content_hash`]) used as the lease id
-//! and as the `shard.lease` provenance field in the schema-2 manifest, so
-//! a result can always be traced back to the exact job description that
-//! produced it.
-//!
-//! The serial `experiments` driver, the in-process `IPCP_JOBS` pool, and
-//! the `sweep-worker` processes all run jobs through [`execute`] — one
-//! code path, provably byte-identical outputs.
+//! [`execute`] runs `<bin_dir>/<figure>` with the caller's own
+//! environment, so every `IPCP_*` knob the caller exported reaches the
+//! figure unchanged; a knob added to [`crate::env::KNOBS`] needs no
+//! plumbing here. Only two variables are set per child: the `IPCP_JSON`
+//! sidecar directory defaults to the results dir, and with the simulation
+//! cache on, `IPCP_SIMCACHE_STATS` points at a private drop-off so the
+//! child's hit/miss counters can be folded into the manifest.
 
 use std::path::Path;
 use std::process::Command;
@@ -29,13 +17,10 @@ use ipcp_sim::telemetry::JsonValue;
 
 use crate::env;
 use crate::harness::ExperimentOutcome;
-use crate::runner::RunScale;
 use crate::simcache;
-use crate::store::fnv1a_64;
 
 /// Every figure/table binary, in the canonical (paper) order — the order
-/// manifests report, independent of completion order. Shared by the
-/// `experiments` driver and the `sweepd` coordinator.
+/// manifests report, independent of completion order.
 pub const EXPERIMENTS: &[&str] = &[
     "table1_storage",
     "table2_config",
@@ -66,385 +51,59 @@ pub const EXPERIMENTS: &[&str] = &[
     "fe04_mana_storage",
 ];
 
-/// A typed description of one experiment job. Build with the fluent
-/// methods, snapshot the ambient environment with
-/// [`JobSpec::from_ambient`], or round-trip through JSON.
+/// Runs one experiment job: spawns `<bin_dir>/<figure>` with the inherited
+/// environment, captures stdout+stderr to `<results_dir>/<figure>.txt`,
+/// and records wall time, exit status, the JSON sidecar path (when one
+/// appeared), and the child's simcache counters (when `IPCP_SIMCACHE` is
+/// on).
 ///
-/// `csv_dir`/`json_dir` distinguish "unset" (`None`: the binary's default)
-/// from "explicitly empty" (`Some("")`: sidecars disabled) — the same
-/// three-state contract the raw environment variables have.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobSpec {
-    /// Figure/table binary name, e.g. `fig07_l1_only`.
-    pub figure: String,
-    /// `IPCP_SCALE` spec (`"paper"` or `"<warmup>,<instructions>"`);
-    /// `None` runs the binary's default scale.
-    pub scale: Option<String>,
-    /// `IPCP_MIXES` for the multi-core figure.
-    pub mixes: Option<usize>,
-    /// `IPCP_INTERVAL` sampler period.
-    pub interval: Option<u64>,
-    /// Run on the naive (oracle) paths (`IPCP_NO_FASTPATH`).
-    pub no_fastpath: bool,
-    /// `IPCP_CSV` directory.
-    pub csv_dir: Option<String>,
-    /// `IPCP_JSON` sidecar directory.
-    pub json_dir: Option<String>,
-    /// Residual env overrides (e.g. `IPCP_SIMCACHE`), applied last.
-    pub env: Vec<(String, String)>,
-}
-
-impl JobSpec {
-    /// A spec for `figure` with every knob at its default.
-    pub fn new(figure: impl Into<String>) -> Self {
-        Self {
-            figure: figure.into(),
-            scale: None,
-            mixes: None,
-            interval: None,
-            no_fastpath: false,
-            csv_dir: None,
-            json_dir: None,
-            env: Vec::new(),
-        }
-    }
-
-    /// Sets the scale from a raw `IPCP_SCALE` spec string.
-    ///
-    /// # Errors
-    ///
-    /// The spec must parse (same grammar as the environment variable);
-    /// a malformed spec is rejected here, not at execution time.
-    pub fn scale_spec(mut self, spec: &str) -> Result<Self, env::EnvError> {
-        RunScale::parse(spec).map_err(|e| env::EnvError {
-            knob: "IPCP_SCALE",
-            value: e.spec,
-            reason: e.reason,
-        })?;
-        self.scale = Some(spec.to_string());
-        Ok(self)
-    }
-
-    /// Sets the scale from a typed [`RunScale`].
-    #[must_use]
-    pub fn scale_run(mut self, scale: RunScale) -> Self {
-        self.scale = Some(format!("{},{}", scale.warmup, scale.instructions));
-        self
-    }
-
-    /// Sets the random-mix count (`IPCP_MIXES`).
-    #[must_use]
-    pub fn mixes(mut self, n: usize) -> Self {
-        self.mixes = Some(n);
-        self
-    }
-
-    /// Sets the sampler interval (`IPCP_INTERVAL`).
-    #[must_use]
-    pub fn interval(mut self, instructions: u64) -> Self {
-        self.interval = Some(instructions);
-        self
-    }
-
-    /// Selects the naive (oracle) paths.
-    #[must_use]
-    pub fn no_fastpath(mut self, on: bool) -> Self {
-        self.no_fastpath = on;
-        self
-    }
-
-    /// Sets the CSV export directory.
-    #[must_use]
-    pub fn csv_dir(mut self, dir: impl Into<String>) -> Self {
-        self.csv_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the JSON sidecar directory.
-    #[must_use]
-    pub fn json_dir(mut self, dir: impl Into<String>) -> Self {
-        self.json_dir = Some(dir.into());
-        self
-    }
-
-    /// Appends a residual env override (applied after the typed knobs).
-    #[must_use]
-    pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.env.push((key.into(), value.into()));
-        self
-    }
-
-    /// Snapshots the ambient `IPCP_*` environment into an explicit spec
-    /// for `figure` — how the drivers turn "whatever the user exported"
-    /// into a self-contained, shippable job description. Validates every
-    /// knob (loudly typed, like the env module).
-    ///
-    /// Captured: scale, mixes, interval, oracle mode, CSV/JSON dirs, and
-    /// the pass-through overrides `IPCP_SIMCACHE`, `IPCP_SIMCACHE_DIR`,
-    /// and `IPCP_JOBS` (figures fan their internal simulations across
-    /// `IPCP_JOBS` threads; the count never changes output bytes).
-    /// `IPCP_SIMCACHE_STATS` is *not* captured — the per-child stats
-    /// drop-off is execution machinery owned by [`execute`].
-    ///
-    /// # Errors
-    ///
-    /// Any set-but-malformed knob (see [`crate::env`]).
-    pub fn from_ambient(figure: impl Into<String>) -> Result<Self, env::EnvError> {
-        // Validate through the typed parsers first, then capture raw
-        // values so unset/empty distinctions survive verbatim.
-        env::scale()?;
-        let _ = env::interval()?;
-        let _ = env::no_fastpath()?;
-        let _ = env::simcache_enabled()?;
-        let _ = env::jobs()?;
-        let mut spec = Self::new(figure);
-        spec.scale = env::raw("IPCP_SCALE")?;
-        spec.mixes = match env::raw("IPCP_MIXES")? {
-            Some(v) => Some(env::parse_count("IPCP_MIXES", Some(&v), 0)?),
-            None => None,
-        };
-        spec.interval = env::interval()?;
-        spec.no_fastpath = env::no_fastpath()?;
-        spec.csv_dir = env::raw("IPCP_CSV")?;
-        spec.json_dir = env::raw("IPCP_JSON")?;
-        for key in ["IPCP_SIMCACHE", "IPCP_SIMCACHE_DIR", "IPCP_JOBS"] {
-            if let Some(v) = env::raw(key)? {
-                spec.env.push((key.to_string(), v));
-            }
-        }
-        Ok(spec)
-    }
-
-    /// The spec as a JSON document (the fabric's `queue/` payload).
-    pub fn to_json(&self) -> JsonValue {
-        let mut v = JsonValue::obj().set("figure", self.figure.as_str());
-        if let Some(s) = &self.scale {
-            v.insert("scale", s.as_str());
-        }
-        if let Some(m) = self.mixes {
-            v.insert("mixes", m);
-        }
-        if let Some(i) = self.interval {
-            v.insert("interval", i);
-        }
-        if self.no_fastpath {
-            v.insert("no_fastpath", true);
-        }
-        if let Some(d) = &self.csv_dir {
-            v.insert("csv_dir", d.as_str());
-        }
-        if let Some(d) = &self.json_dir {
-            v.insert("json_dir", d.as_str());
-        }
-        if !self.env.is_empty() {
-            v.insert(
-                "env",
-                JsonValue::Arr(
-                    self.env
-                        .iter()
-                        .map(|(k, val)| {
-                            JsonValue::Arr(vec![
-                                JsonValue::Str(k.clone()),
-                                JsonValue::Str(val.clone()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        v
-    }
-
-    /// Parses a spec back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first structural problem.
-    pub fn from_json(doc: &JsonValue) -> Result<Self, String> {
-        let figure = doc
-            .get("figure")
-            .and_then(JsonValue::as_str)
-            .ok_or("job spec has no figure")?
-            .to_string();
-        let mut spec = Self::new(figure);
-        spec.scale = doc
-            .get("scale")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        spec.mixes = doc
-            .get("mixes")
-            .and_then(JsonValue::as_u64)
-            .map(|m| m as usize);
-        spec.interval = doc.get("interval").and_then(JsonValue::as_u64);
-        spec.no_fastpath = doc
-            .get("no_fastpath")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false);
-        spec.csv_dir = doc
-            .get("csv_dir")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        spec.json_dir = doc
-            .get("json_dir")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        if let Some(env) = doc.get("env") {
-            let entries = env.as_array().ok_or("job spec env is not an array")?;
-            for (i, pair) in entries.iter().enumerate() {
-                let kv = pair
-                    .as_array()
-                    .filter(|kv| kv.len() == 2)
-                    .ok_or_else(|| format!("job spec env[{i}] is not a [key, value] pair"))?;
-                let (Some(k), Some(v)) = (kv[0].as_str(), kv[1].as_str()) else {
-                    return Err(format!("job spec env[{i}] is not a string pair"));
-                };
-                spec.env.push((k.to_string(), v.to_string()));
-            }
-        }
-        Ok(spec)
-    }
-
-    /// The spec's stable content key: the 64-bit FNV-1a of its canonical
-    /// JSON rendering, as 16 hex digits. Used as the fabric lease id and
-    /// the `shard.lease` provenance field.
-    pub fn content_hash(&self) -> String {
-        format!("{:016x}", fnv1a_64(&self.to_json().to_json_string()))
-    }
-}
-
-/// Per-shard provenance: who executed a job, under which lease epoch.
-/// Epoch 1 is the first claim of a lease; a reassignment after expiry
-/// bumps it, so `epoch > 1` in a manifest is the fingerprint of a
-/// recovered shard. In-process drivers use `worker: "local"`, `epoch: 0`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Provenance {
-    /// Worker id (`"local"` for in-process execution).
-    pub worker: String,
-    /// Lease epoch under which the job ran (0 = not lease-managed).
-    pub epoch: u64,
-    /// The job's content hash (the lease id).
-    pub lease: String,
-}
-
-impl Provenance {
-    /// In-process provenance for a job (no lease management).
-    pub fn local(spec: &JobSpec) -> Self {
-        Self {
-            worker: "local".to_string(),
-            epoch: 0,
-            lease: spec.content_hash(),
-        }
-    }
-}
-
-/// The full catalogued knob list [`execute`] clears before applying a
-/// spec (spec-authoritative environments).
-const KNOB_NAMES: &[&str] = &[
-    "IPCP_JOBS",
-    "IPCP_SCALE",
-    "IPCP_CSV",
-    "IPCP_JSON",
-    "IPCP_SIMCACHE",
-    "IPCP_SIMCACHE_DIR",
-    "IPCP_SIMCACHE_STATS",
-    "IPCP_MIXES",
-    "IPCP_FE_FOOTPRINTS",
-    "IPCP_INTERVAL",
-    "IPCP_NO_FASTPATH",
-];
-
-/// True when the spec's env overrides switch the simulation cache on for
-/// the child (used to decide whether a stats drop-off is worth wiring).
-fn spec_enables_simcache(spec: &JobSpec) -> bool {
-    spec.env
-        .iter()
-        .rev()
-        .find(|(k, _)| k == "IPCP_SIMCACHE")
-        .map(|(_, v)| env::parse_bool("IPCP_SIMCACHE", Some(v), false).unwrap_or(false))
-        .unwrap_or(false)
-}
-
-/// Runs one experiment job: spawns `<bin_dir>/<figure>` with exactly the
-/// environment the spec describes, captures stdout+stderr to
-/// `<results_dir>/<figure>.txt`, and records wall time, exit status, the
-/// JSON sidecar path (when one appeared), and the child's simcache
-/// counters (when the spec enables the cache).
-///
-/// Every catalogued `IPCP_*` variable is removed from the child
-/// environment first, so the caller's ambient knobs cannot leak into the
-/// run — serial drivers, pool threads, and fabric workers spawning the
-/// same spec produce byte-identical outputs.
-pub fn execute(spec: &JobSpec, bin_dir: &Path, results_dir: &Path) -> ExperimentOutcome {
-    let name = spec.figure.as_str();
-    let output_path = results_dir.join(format!("{name}.txt"));
+/// Callers validate the environment first ([`env::validate_all`]); a
+/// malformed `IPCP_SIMCACHE` here counts as "off".
+pub fn execute(figure: &str, bin_dir: &Path, results_dir: &Path) -> ExperimentOutcome {
+    let output_path = results_dir.join(format!("{figure}.txt"));
     let started = Instant::now();
-    let mut cmd = Command::new(bin_dir.join(name));
-    for knob in KNOB_NAMES {
-        cmd.env_remove(knob);
+    let mut cmd = Command::new(bin_dir.join(figure));
+    // Sidecars default into the results dir unless the caller routed (or,
+    // with an empty value, disabled) them explicitly.
+    if std::env::var_os("IPCP_JSON").is_none() {
+        cmd.env("IPCP_JSON", results_dir);
     }
-    if let Some(s) = &spec.scale {
-        cmd.env("IPCP_SCALE", s);
-    }
-    if let Some(m) = spec.mixes {
-        cmd.env("IPCP_MIXES", m.to_string());
-    }
-    if let Some(i) = spec.interval {
-        cmd.env("IPCP_INTERVAL", i.to_string());
-    }
-    if spec.no_fastpath {
-        cmd.env("IPCP_NO_FASTPATH", "1");
-    }
-    if let Some(d) = &spec.csv_dir {
-        cmd.env("IPCP_CSV", d);
-    }
-    if let Some(d) = &spec.json_dir {
-        cmd.env("IPCP_JSON", d);
-    }
-    for (k, v) in &spec.env {
-        cmd.env(k, v);
-    }
-    // When the spec turns the simulation cache on, give the child a
-    // private stats drop-off so its hit/miss counters can be folded into
-    // the manifest — unless the spec routed stats somewhere itself.
-    let stats_path = Some(results_dir.join(format!("{name}.simcache.json")))
-        .filter(|_| spec_enables_simcache(spec))
-        .filter(|_| !spec.env.iter().any(|(k, _)| k == "IPCP_SIMCACHE_STATS"));
-    if let Some(p) = &stats_path {
-        cmd.env("IPCP_SIMCACHE_STATS", p);
-    }
+    // A stats file shared by concurrent children would be clobbered, so an
+    // ambient `IPCP_SIMCACHE_STATS` never reaches them; with the cache on,
+    // each child gets a private drop-off instead.
+    let stats_path = env::simcache_enabled()
+        .unwrap_or(false)
+        .then(|| results_dir.join(format!("{figure}.simcache.json")));
+    match &stats_path {
+        Some(p) => cmd.env("IPCP_SIMCACHE_STATS", p),
+        None => cmd.env_remove("IPCP_SIMCACHE_STATS"),
+    };
     let result = cmd.output();
     let wall = started.elapsed();
-    let data_path = Some(results_dir.join(format!("{name}.data.json"))).filter(|p| p.exists());
+    let data_path = Some(results_dir.join(format!("{figure}.data.json"))).filter(|p| p.exists());
     let simcache = stats_path.as_deref().and_then(read_simcache_stats);
-    match result {
+    let (exit_code, ok, spawn_error) = match result {
         Ok(out) => {
             let mut text = out.stdout;
             text.extend_from_slice(&out.stderr);
             let write_err = std::fs::write(&output_path, &text).err();
-            let ok = out.status.success() && write_err.is_none();
-            ExperimentOutcome {
-                name: name.to_string(),
-                exit_code: out.status.code(),
-                ok,
-                wall,
-                output_path,
-                data_path,
-                spawn_error: write_err.map(|e| format!("writing output: {e}")),
-                simcache,
-                shard: None,
-            }
+            (
+                out.status.code(),
+                out.status.success() && write_err.is_none(),
+                write_err.map(|e| format!("writing output: {e}")),
+            )
         }
-        Err(e) => ExperimentOutcome {
-            name: name.to_string(),
-            exit_code: None,
-            ok: false,
-            wall,
-            output_path,
-            data_path,
-            spawn_error: Some(e.to_string()),
-            simcache,
-            shard: None,
-        },
+        Err(e) => (None, false, Some(e.to_string())),
+    };
+    ExperimentOutcome {
+        name: figure.to_string(),
+        exit_code,
+        ok,
+        wall,
+        output_path,
+        data_path,
+        spawn_error,
+        simcache,
     }
 }
 
@@ -467,84 +126,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_and_json_round_trip() {
-        let spec = JobSpec::new("fig07_l1_only")
-            .scale_run(RunScale {
-                warmup: 2_500,
-                instructions: 10_000,
-            })
-            .mixes(1)
-            .interval(5_000)
-            .no_fastpath(true)
-            .csv_dir("out/csv")
-            .json_dir("out")
-            .env("IPCP_SIMCACHE", "1");
-        assert_eq!(spec.scale.as_deref(), Some("2500,10000"));
-        let doc = spec.to_json();
-        let back = JobSpec::from_json(&doc).unwrap();
-        assert_eq!(back, spec, "JSON round trip must be lossless");
-        // Round trip preserves the content hash (queue file ↔ lease id).
-        assert_eq!(back.content_hash(), spec.content_hash());
-    }
-
-    #[test]
-    fn minimal_spec_round_trips_and_omits_defaults() {
-        let spec = JobSpec::new("table1_storage");
-        let doc = spec.to_json();
-        assert!(doc.get("scale").is_none());
-        assert!(doc.get("env").is_none());
-        assert!(doc.get("no_fastpath").is_none());
-        assert_eq!(JobSpec::from_json(&doc).unwrap(), spec);
-    }
-
-    #[test]
-    fn empty_string_dirs_survive_round_trip() {
-        // Some("") means "explicitly disabled" and must not collapse to
-        // None (unset) across the queue.
-        let spec = JobSpec::new("fig09_mpki").json_dir("");
-        let back = JobSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(back.json_dir.as_deref(), Some(""));
-    }
-
-    #[test]
-    fn content_hash_separates_distinct_jobs() {
-        let base = JobSpec::new("fig07_l1_only");
-        let hash = |s: &JobSpec| s.content_hash();
-        assert_ne!(hash(&base), hash(&JobSpec::new("fig09_mpki")), "figure");
-        assert_ne!(
-            hash(&base),
-            hash(&base.clone().scale_spec("2500,10000").unwrap()),
-            "scale"
-        );
-        assert_ne!(hash(&base), hash(&base.clone().mixes(2)), "mixes");
-        assert_ne!(hash(&base), hash(&base.clone().interval(1000)), "interval");
-        assert_ne!(hash(&base), hash(&base.clone().no_fastpath(true)), "oracle");
-        assert_ne!(
-            hash(&base),
-            hash(&base.clone().env("IPCP_SIMCACHE", "1")),
-            "env overrides"
-        );
-        assert_eq!(hash(&base), hash(&base.clone()), "hash is stable");
-        assert_eq!(hash(&base).len(), 16, "16 hex digits");
-    }
-
-    #[test]
-    fn scale_spec_rejects_malformed_values() {
-        let err = JobSpec::new("x").scale_spec("10a,40000").unwrap_err();
-        assert_eq!(err.knob, "IPCP_SCALE");
-        assert_eq!(err.value, "10a,40000");
-    }
-
-    #[test]
-    fn from_json_rejects_structural_garbage() {
-        assert!(JobSpec::from_json(&JsonValue::obj()).is_err(), "no figure");
-        let bad_env = JsonValue::obj()
-            .set("figure", "f")
-            .set("env", JsonValue::Arr(vec![JsonValue::Str("loose".into())]));
-        assert!(JobSpec::from_json(&bad_env).is_err(), "malformed env pair");
-    }
-
-    #[test]
     fn experiments_list_is_the_canonical_27() {
         assert_eq!(EXPERIMENTS.len(), 27);
         assert_eq!(EXPERIMENTS[0], "table1_storage");
@@ -554,32 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn local_provenance_carries_the_content_hash() {
-        let spec = JobSpec::new("fig07_l1_only");
-        let p = Provenance::local(&spec);
-        assert_eq!(p.worker, "local");
-        assert_eq!(p.epoch, 0);
-        assert_eq!(p.lease, spec.content_hash());
-    }
-
-    #[test]
-    fn simcache_detection_reads_the_last_override() {
-        let off = JobSpec::new("f");
-        assert!(!spec_enables_simcache(&off));
-        let on = JobSpec::new("f").env("IPCP_SIMCACHE", "1");
-        assert!(spec_enables_simcache(&on));
-        let overridden = JobSpec::new("f")
-            .env("IPCP_SIMCACHE", "1")
-            .env("IPCP_SIMCACHE", "0");
-        assert!(!spec_enables_simcache(&overridden));
-    }
-
-    #[test]
     fn execute_reports_unspawnable_binary() {
         let dir = std::env::temp_dir().join(format!("ipcp-jobspec-miss-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let o = execute(&JobSpec::new("no_such_binary"), &dir, &dir);
+        let o = execute("no_such_binary", &dir, &dir);
         assert!(!o.ok);
         assert!(o.spawn_error.is_some());
         assert_eq!(o.exit_code, None);

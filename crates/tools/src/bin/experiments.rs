@@ -2,23 +2,20 @@
 //! paper into `results/`, replacing the serial `run_all_experiments.sh`
 //! loop.
 //!
-//! Each experiment is described by a typed [`JobSpec`] snapshotted from
-//! the ambient `IPCP_*` environment (validated loudly up front — a typo
-//! in any knob stops the sweep before the first simulation). The driver
-//! fans the specs across an `IPCP_JOBS`-sized worker pool (default: one
-//! worker per core), executes each through [`jobspec::execute`] — the
-//! same spec-authoritative code path `sweep-worker` processes use —
-//! captures each binary's output to `results/<name>.txt`, and writes
-//! structured JSON results (`results/<name>.json` per run plus a
-//! schema-2 `results/manifest.json` with wall times, exit statuses, and
-//! per-shard provenance; in-process runs are `worker: "local"`).
-//! Unless the caller already set `IPCP_JSON`, the driver routes it to the
-//! results dir so every figure also drops its machine-readable sidecar at
-//! `results/<name>.data.json`.
+//! Every `IPCP_*` knob is validated loudly up front — a typo in any knob
+//! stops the sweep with exit 2 before the first figure runs. The selected
+//! figures then fan out across an `IPCP_JOBS`-sized worker pool (default:
+//! one worker per core); each worker runs one figure binary at a time
+//! through [`jobspec::execute`], which passes this process's environment
+//! through unchanged, and captures its output to `results/<name>.txt`.
+//! Structured JSON results go to `results/<name>.json` per run plus a
+//! schema-3 `results/manifest.json` with wall times, exit statuses, and
+//! the set knobs as a top-level `env` object. Unless the caller already
+//! set `IPCP_JSON`, it is routed to the results dir so every figure also
+//! drops its machine-readable sidecar at `results/<name>.data.json`.
 //! The per-experiment text outputs are byte-identical to a serial
-//! (`IPCP_JOBS=1`) run — and to an N-process `sweepd` run: every
-//! simulation is deterministic and each binary owns its output file
-//! exclusively.
+//! (`IPCP_JOBS=1`) run: every simulation is deterministic and each binary
+//! owns its output file exclusively.
 //!
 //! Exit status: non-zero when any experiment fails, with a failure summary
 //! on stderr — silent failures are a bug class of their own.
@@ -33,7 +30,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use ipcp_bench::jobspec::{self, JobSpec, Provenance, EXPERIMENTS};
+use ipcp_bench::jobspec::{self, EXPERIMENTS};
 use ipcp_bench::{env, harness};
 use ipcp_tools::Args;
 
@@ -49,6 +46,8 @@ fn main() {
         print!("{}", env::render_catalogue());
         return;
     }
+
+    env::or_die(env::validate_all());
 
     let selected: Vec<&str> = if args.positional.is_empty() {
         EXPERIMENTS.to_vec()
@@ -92,34 +91,17 @@ fn main() {
         );
     }
 
-    // One validated spec per experiment: the ambient environment is
-    // checked once, loudly, and frozen — execution is spec-authoritative,
-    // so nothing the pool threads inherit can change a result. Sidecars
-    // default into the results dir unless the caller routed (or disabled)
-    // them explicitly.
-    let specs: Vec<JobSpec> = selected
-        .iter()
-        .map(|name| {
-            let mut spec = env::or_die(JobSpec::from_ambient(*name));
-            if spec.json_dir.is_none() {
-                spec.json_dir = Some(results_dir.display().to_string());
-            }
-            spec
-        })
-        .collect();
-
     let scale_env = std::env::var("IPCP_SCALE").unwrap_or_else(|_| "default".to_string());
     eprintln!(
         "running {} experiment(s) on {} worker(s) (IPCP_JOBS), scale {scale_env} -> {}",
-        specs.len(),
+        selected.len(),
         jobs,
         results_dir.display()
     );
 
     let started = Instant::now();
-    let outcomes = harness::parallel_map(jobs, specs, |spec| {
-        let mut o = jobspec::execute(&spec, &bin_dir, &results_dir);
-        o.shard = Some(Provenance::local(&spec));
+    let outcomes = harness::parallel_map(jobs, selected, |name| {
+        let o = jobspec::execute(name, &bin_dir, &results_dir);
         if o.ok {
             eprintln!("== {} ok ({:.1}s)", o.name, o.wall.as_secs_f64());
         } else {
@@ -129,8 +111,15 @@ fn main() {
     });
     let total_wall = started.elapsed();
 
-    harness::write_results_json(&results_dir, jobs, &scale_env, total_wall, &outcomes)
-        .expect("cannot write JSON results");
+    harness::write_results_json(
+        &results_dir,
+        jobs,
+        &scale_env,
+        &env::set_knobs(),
+        total_wall,
+        &outcomes,
+    )
+    .expect("cannot write JSON results");
 
     let failed: Vec<_> = outcomes.iter().filter(|o| !o.ok).collect();
     eprintln!(
