@@ -97,7 +97,7 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "IPCP_NO_FASTPATH",
-        summary: "boolean: run on the naive (oracle) paths with every exact-behavior fast path disabled",
+        summary: "boolean: oracle mode — the same cycle loop with every exact-behavior fast arm off, plus per-cycle shadow checks of the wakeup scheduler's skip decisions",
         check: || no_fastpath().map(drop),
     },
     Knob {
@@ -283,7 +283,8 @@ pub fn interval() -> Result<Option<u64>, EnvError> {
     })
 }
 
-/// `IPCP_NO_FASTPATH`: whether to run on the naive (oracle) paths.
+/// `IPCP_NO_FASTPATH`: whether to run in oracle mode (fast arms off,
+/// shadow checks on).
 pub fn no_fastpath() -> Result<bool, EnvError> {
     parse_bool(
         "IPCP_NO_FASTPATH",

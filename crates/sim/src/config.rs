@@ -210,13 +210,16 @@ pub struct SimConfig {
     /// count). `None` (the default) disables sampling entirely; the report
     /// then carries no time-series and matches pre-sampler output exactly.
     pub sample_interval: Option<u64>,
-    /// Differential-oracle mode: disable every "exact-behavior" fast path
-    /// (cache repeat-hit memo, way predictor, devirtualized replacement
-    /// dispatch, TLB memos) and run the naive reference paths instead. A
-    /// `no_fastpath` run must produce a byte-identical [`crate::SimReport`]
-    /// to the optimized run — `ipcp_check` and the CI `audit` job compare
-    /// the two to *prove* the fast paths are behavior-neutral rather than
-    /// trusting golden fingerprints. Off by default (zero overhead).
+    /// Differential-oracle mode: the same cycle loop and demand path with
+    /// every "exact-behavior" fast arm off (cache repeat-hit memo, way
+    /// predictor, devirtualized replacement dispatch, TLB memos, hit-streak
+    /// runs, bulk nop dispatch), plus per-cycle shadow checks that assert
+    /// every wakeup-scheduler skip decision against the polled machine
+    /// (panicking on a mismatch). A `no_fastpath` run must produce a
+    /// byte-identical [`crate::SimReport`] to the optimized run —
+    /// `ipcp_check` and the CI `audit` job compare the two to *prove* the
+    /// fast arms are behavior-neutral rather than trusting golden
+    /// fingerprints. Off by default (zero overhead).
     pub no_fastpath: bool,
 }
 
@@ -307,8 +310,8 @@ impl SimConfig {
         self
     }
 
-    /// Enables differential-oracle mode: every fast path runs its naive
-    /// reference implementation instead (see the `no_fastpath` field).
+    /// Enables differential-oracle mode: fast arms off, shadow checks on
+    /// (see the `no_fastpath` field).
     #[must_use]
     pub fn without_fastpaths(mut self) -> Self {
         self.no_fastpath = true;

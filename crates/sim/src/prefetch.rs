@@ -114,7 +114,7 @@ impl PrefetchRequest {
 /// [`AddrDecode::of`] where no columns exist (L2/LLC triggers, tests) —
 /// and carried through [`AccessInfo`] so the prefetcher never re-derives
 /// them per access.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddrDecode {
     /// Line offset within the 4 KB page (`vline.page_offset()`).
     pub page_off: ipcp_mem::LineOffset,
@@ -138,6 +138,20 @@ impl AddrDecode {
             region_off: vline.region_offset(),
             vpage_lsb2: vline.vpage().lsb2(),
             ip_key: ip.raw() >> 2,
+        }
+    }
+
+    /// Reads all fields off slot `pos` of a batch's derived columns (the
+    /// fused demand path's entry point; equal to [`AddrDecode::of`] on the
+    /// slot's ip and line).
+    #[inline]
+    pub fn from_cols(d: &ipcp_trace::DerivedCols, pos: usize) -> Self {
+        Self {
+            page_off: ipcp_mem::LineOffset::new(d.pageoffs[pos]),
+            region: ipcp_mem::RegionId::new(d.regions[pos]),
+            region_off: ipcp_mem::RegionOffset::new(d.pageoffs[pos] & 0x1f),
+            vpage_lsb2: (d.vpages[pos] & 3) as u8,
+            ip_key: d.ipkeys[pos],
         }
     }
 }

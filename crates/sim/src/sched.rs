@@ -1,25 +1,21 @@
 //! Wakeup calendar for the wakeup-driven cycle scheduler.
 //!
-//! [`System::run`](crate::System::run) in fast mode keeps a central calendar
-//! of *fill wakeups*: every cache with an outstanding MSHR fill registers the
-//! cycle its earliest fill lands, and a simulated cycle only walks the
-//! components whose wakeup is due. The calendar is a lazy-deletion min-heap:
-//! re-arming a component pushes a fresh entry and the stale one is discarded
-//! when it surfaces, validated against the `armed` mirror. See DESIGN.md §10
-//! for the full re-arm contract and the exactness argument.
+//! [`System::run`](crate::System::run) keeps a central calendar of *fill
+//! wakeups*: every cache with an outstanding MSHR fill registers the cycle
+//! its earliest fill lands, and a simulated cycle only walks the components
+//! whose wakeup is due. The calendar is a lazy-deletion min-heap: re-arming
+//! a component pushes a fresh entry and the stale one is discarded when it
+//! surfaces, validated against the `armed` mirror. Component ids are dense
+//! (`0..3 * cores + 1`) and any core count fits; in oracle mode
+//! ([`crate::SimConfig::no_fastpath`]) the loop shadow-checks the calendar
+//! against the polled fill heaps every cycle. See DESIGN.md §10 for the
+//! full re-arm contract and the exactness argument.
 
 use crate::cache::FILL_UNKNOWN;
 use crate::config::Cycle;
 use crate::telemetry::{FromJson, JsonValue, ToJson};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Maximum core count the fast scheduler supports. The due-component set is
-/// a `u64` bitmask over `3 * cores + 1` fill components (LLC plus per-core
-/// L2/L1D/L1I), so 21 cores is the densest mask that still fits; systems
-/// beyond that fall back to the exhaustive polling walk, which is exact by
-/// construction.
-pub const MAX_FAST_CORES: usize = 21;
 
 /// Calendar component id of the shared LLC fill heap.
 pub const COMP_LLC: u32 = 0;
@@ -42,7 +38,8 @@ pub const fn comp_l1i(ci: usize) -> u32 {
     3 + 3 * ci as u32
 }
 
-/// Prefetch-queue bit for the shared LLC in the active-PQ bitmask.
+/// Prefetch-queue bit for the shared LLC in the active-PQ bitset. Each
+/// cache's PQ bit equals its fill component id.
 pub const PQ_LLC: u32 = 0;
 
 /// Prefetch-queue bit for core `ci`'s L2 PQ.
@@ -65,7 +62,7 @@ pub const fn pq_l1i(ci: usize) -> u32 {
 
 /// Scheduler observability counters, exported through the telemetry sidecar
 /// when `IPCP_SCHED_STATS` is set (see [`crate::SimReport`]). Maintained
-/// unconditionally — four integer adds per cycle — so enabling the export
+/// unconditionally — a few integer adds per cycle — so enabling the export
 /// cannot perturb simulation behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
@@ -186,9 +183,12 @@ impl Calendar {
 mod tests {
     use super::*;
 
+    /// Wider than one 64-bit word, so a bitset over the ids spans words.
+    const WIDE_CORES: usize = 32;
+
     #[test]
     fn component_ids_are_dense_and_disjoint() {
-        let cores = MAX_FAST_CORES;
+        let cores = WIDE_CORES;
         let mut seen = vec![false; 3 * cores + 1];
         seen[COMP_LLC as usize] = true;
         for ci in 0..cores {
@@ -198,23 +198,28 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "ids must be dense");
-        // Every fill id and every PQ bit fits a u64 mask at the max width.
-        assert!(3 * cores < 64);
-        assert!(pq_l1i(cores - 1) < 64);
     }
 
     #[test]
     fn pq_bits_are_dense_and_disjoint() {
-        let cores = MAX_FAST_CORES;
-        let mut seen = vec![false; 3 * cores + 1];
-        seen[PQ_LLC as usize] = true;
-        for ci in 0..cores {
-            for b in [pq_l2(ci), pq_l1d(ci), pq_l1i(ci)] {
-                assert!(!seen[b as usize], "pq bit {b} collides");
-                seen[b as usize] = true;
-            }
+        // Dense and disjoint because each PQ bit is its cache's component id.
+        assert_eq!(PQ_LLC, COMP_LLC);
+        for ci in 0..WIDE_CORES {
+            assert_eq!(pq_l2(ci), comp_l2(ci));
+            assert_eq!(pq_l1d(ci), comp_l1d(ci));
+            assert_eq!(pq_l1i(ci), comp_l1i(ci));
         }
-        assert!(seen.iter().all(|&s| s), "pq bits must be dense");
+    }
+
+    #[test]
+    fn pop_due_yields_ascending_ids_past_one_word() {
+        let ids = 3 * WIDE_CORES as u32 + 1;
+        let mut cal = Calendar::new(ids as usize);
+        for id in (0..ids).rev() {
+            cal.note(id, 9);
+        }
+        let popped: Vec<u32> = std::iter::from_fn(|| cal.pop_due(9)).collect();
+        assert_eq!(popped, (0..ids).collect::<Vec<_>>());
     }
 
     #[test]

@@ -21,20 +21,22 @@
 //! of incrementally maintained state) after executing exactly one idle
 //! cycle per gap; that single idle cycle is load-bearing, because stall
 //! accounting and MSHR-full retry statistics are defined per *executed*
-//! cycle. Within a cycle, each component is touched only when its own
-//! cheap gate (cached earliest-fill time, PQ occupancy, pending-queue
-//! length) says it can have work; `on_cycle` prefetcher hooks still fire
-//! every executed cycle when any attached prefetcher uses them. Both
-//! layers are behavior-preserving: the set of executed cycles and the work
-//! done in each is identical to the exhaustive cycle-by-cycle sweep, so
-//! reports are byte-identical.
+//! cycle. Within a cycle, each component is touched only when its wakeup
+//! is due (fill calendar, active-PQ bitset, per-core wake cycle);
+//! `on_cycle` prefetcher hooks still fire every executed cycle when any
+//! attached prefetcher uses them.
+//!
+//! There is one loop and one demand path. Oracle mode
+//! ([`SimConfig::no_fastpath`]) runs the same body with the exact-behavior
+//! fast arms switched off, and adds *shadow checks*: every skip decision
+//! the scheduler makes is re-derived by polling (due fills, non-empty
+//! prefetch queues, cores able to act, the next event time) and asserted
+//! against the wakeup state.
 
 use std::sync::Arc;
 
 use ipcp_mem::{Ip, LineAddr, LINES_PER_PAGE, LINE_SHIFT, PAGE_SHIFT};
-use ipcp_trace::{
-    BatchStream, DerivedCols, Instr, InstrBatch, MemOp, TraceSource, KIND_LOAD, KIND_NONE,
-};
+use ipcp_trace::{BatchStream, DerivedCols, InstrBatch, TraceSource, KIND_LOAD, KIND_NONE};
 
 use crate::cache::{Cache, Mshr, ProbeResult, QueuedPrefetch, FILL_UNKNOWN};
 use crate::config::{Cycle, SimConfig};
@@ -66,8 +68,8 @@ pub struct CoreSetup {
     /// L1-I (instruction-side) prefetcher. Defaults to
     /// [`crate::prefetch::NoPrefetcher`] via [`CoreSetup::new`]; a non-noop
     /// prefetcher here routes every new ifetch line through the full
-    /// [`System::ifetch`] path so its hooks fire identically under the fast
-    /// and naive schedulers.
+    /// [`System::ifetch`] path so its hooks see every access, with or
+    /// without the fast arms.
     pub l1i_prefetcher: Box<dyn Prefetcher>,
     /// L1-D prefetcher.
     pub l1d_prefetcher: Box<dyn Prefetcher>,
@@ -241,25 +243,24 @@ struct PendingMem {
     vline: LineAddr,
     /// Virtual page of the access (`vaddr >> PAGE_SHIFT`).
     vpage: u64,
-    /// Prefetcher-trigger address fields, decoded once at dispatch (from
-    /// the trace's derived columns on the fast path) instead of per issue
-    /// attempt.
+    /// Prefetcher-trigger address fields, read off the trace's derived
+    /// columns at dispatch instead of decoded per issue attempt.
     decode: AddrDecode,
 }
 
-impl PendingMem {
-    /// Row-oriented constructor (the naive fetch path): derives the
-    /// line/page/decode fields from the raw virtual address.
-    fn new(seq: u64, slot: usize, ip: Ip, vaddr: ipcp_mem::VAddr, store: bool) -> Self {
-        let vline = vaddr.line();
-        Self {
-            seq,
-            slot,
-            ip,
-            store,
-            vline,
-            vpage: vaddr.page().raw(),
-            decode: AddrDecode::of(ip, vline),
+/// Which private L1 a routine shared by both sides acts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum L1 {
+    D,
+    I,
+}
+
+impl L1 {
+    /// The side's calendar component id, which is also its PQ bit.
+    fn id(self, ci: usize) -> u32 {
+        match self {
+            L1::D => sched::comp_l1d(ci),
+            L1::I => sched::comp_l1i(ci),
         }
     }
 }
@@ -275,9 +276,8 @@ struct Core {
     ibuf: InstrBatch,
     ibuf_pos: usize,
     /// Derived address columns over `ibuf` (line/page/offset/region/IP-key
-    /// per slot), recomputed once per batch refill on the fast path so the
-    /// per-instruction dispatch and issue paths read precomputed values.
-    /// Unused (left empty) on the naive path, which derives per access.
+    /// per slot), recomputed once per batch refill so the per-instruction
+    /// dispatch and issue paths read precomputed values.
     derived: DerivedCols,
     l1i: Cache,
     l1d: Cache,
@@ -291,7 +291,7 @@ struct Core {
     /// access, which is dead weight for the ubiquitous `none` baseline.
     /// `l1i_pf_noop` additionally gates the fast repeat-ifetch memo: a
     /// non-noop I-side prefetcher must observe every new ifetch line, so
-    /// the memo shortcut stands down and both schedulers take the full
+    /// the memo shortcut stands down and every new line takes the full
     /// [`System::ifetch`] path (the exactness contract of DESIGN.md §12).
     l1i_pf_noop: bool,
     l1d_pf_noop: bool,
@@ -316,6 +316,26 @@ struct Core {
 }
 
 impl Core {
+    fn l1(&mut self, side: L1) -> &mut Cache {
+        match side {
+            L1::D => &mut self.l1d,
+            L1::I => &mut self.l1i,
+        }
+    }
+
+    /// A prefetch request's physical target: virtual targets translate
+    /// through the untimed TLB path.
+    fn request_pline(&mut self, req: &PrefetchRequest) -> LineAddr {
+        if req.virtual_addr {
+            let ppage = self
+                .tlb
+                .translate_untimed(req.line.vpage(), &mut self.mapper);
+            phys_line(ppage.raw(), req.line)
+        } else {
+            req.line
+        }
+    }
+
     /// L1-D stats with the prefetcher's measured-phase RR-filter drops
     /// folded in (see `rr_drop_baseline`).
     fn l1d_stats_with_drops(&self) -> crate::stats::CacheStats {
@@ -333,37 +353,9 @@ impl Core {
 }
 
 impl Core {
-    #[inline]
-    fn next_instr(&mut self) -> Instr {
-        if self.ibuf_pos < self.ibuf.len() {
-            let i = self.ibuf.get(self.ibuf_pos);
-            self.ibuf_pos += 1;
-            return i;
-        }
-        self.refill_ibuf()
-    }
-
     /// Refills the look-ahead buffer, restarting the trace on exhaustion
-    /// (traces replay until the instruction budget is met). Returns the
-    /// first buffered instruction.
-    #[cold]
-    fn refill_ibuf(&mut self) -> Instr {
-        self.ibuf_pos = 1;
-        if self.stream.next_batch(&mut self.ibuf) > 0 {
-            return self.ibuf.get(0);
-        }
-        // Stream exhausted on a batch boundary: reopen from the start.
-        self.stream = self.trace.batch_stream();
-        assert!(
-            self.stream.next_batch(&mut self.ibuf) > 0,
-            "trace must be non-empty"
-        );
-        self.ibuf.get(0)
-    }
-
-    /// Fast-path refill: same stream consumption as [`Core::refill_ibuf`]
-    /// (so both paths see identical batch boundaries) but positions start
-    /// at 0 and the derived address columns are recomputed for the batch.
+    /// (traces replay until the instruction budget is met), and recomputes
+    /// the derived address columns for the batch.
     #[cold]
     fn refill_batch(&mut self) {
         self.ibuf_pos = 0;
@@ -391,9 +383,6 @@ pub struct System {
     /// Interval sampler (`None` unless `cfg.sample_interval` is set — the
     /// disabled path costs one `Option` check per cycle).
     sampler: Option<Sampler>,
-    /// `IPCP_DEBUG_PF` present at construction — checked once instead of
-    /// an environment lookup on every merge/prefetch event.
-    debug_pf: bool,
     /// Any attached prefetcher implements `on_cycle` (checked once at
     /// construction); when false the per-cycle hook pass is skipped.
     cycle_hooks: bool,
@@ -403,19 +392,15 @@ pub struct System {
     /// the duration of each call so its buffer capacity is reused across
     /// the millions of hook invocations per run.
     pf_scratch: VecSink,
-    /// Wakeup-driven scheduler enabled (fixed at construction): requires
-    /// the component set to fit the `u64` due-mask and stands down
-    /// entirely under `no_fastpath`, so the PR 5 oracle compares against
-    /// the exhaustive polling walk. See `crate::sched` and DESIGN.md §10.
-    fast: bool,
     /// Central wakeup calendar over the fill components (LLC plus
     /// per-core L2/L1D/L1I fill heaps).
     cal: Calendar,
-    /// Bitmask of possibly-non-empty prefetch queues (bit layout in
-    /// `crate::sched`). Every enqueue site sets its bit, so a clear bit
-    /// proves an empty queue; a stale set bit (queue drained empty) is
-    /// cleared by the next drain pass at no behavioral cost.
-    pq_active: u64,
+    /// Bitset of possibly-non-empty prefetch queues (bit layout in
+    /// `crate::sched`, 64 queues per word, sized from the core count).
+    /// Every enqueue site sets its bit, so a clear bit proves an empty
+    /// queue; a stale set bit (queue drained empty) is cleared by the next
+    /// drain pass at no behavioral cost.
+    pq_active: Vec<u64>,
     /// Per-core earliest cycle the core can possibly act (`0` = hot:
     /// touched every executed cycle). Recomputed at the end of each
     /// touch; exact because only the core's own retire/issue/fetch
@@ -436,8 +421,8 @@ pub struct System {
     /// one integer compare instead of a `Sampler::due` call.
     sample_due_abs: u64,
     /// Scheduler observability counters (`heap_peak` is folded in at
-    /// report time). Maintained unconditionally on the fast path —
-    /// plain integer adds — and exported only when `sched_stats_export`.
+    /// report time). Maintained unconditionally — plain integer adds —
+    /// and exported only when `sched_stats_export`.
     sstats: SchedStats,
     /// `IPCP_SCHED_STATS` was set at construction.
     sched_stats_export: bool,
@@ -521,13 +506,13 @@ impl System {
                     || c.l2_pf.uses_cycle_hook()
             });
         let llc_pf_noop = llc_prefetcher.is_noop();
-        let fast = !cfg.no_fastpath && cores.len() <= sched::MAX_FAST_CORES;
         let warm_pending = if cfg.warmup_instructions > 0 {
             cores.len()
         } else {
             0
         };
-        let cal = Calendar::new(3 * cores.len() + 1);
+        let components = 3 * cores.len() + 1;
+        let cal = Calendar::new(components);
         let wake_at = vec![0; cores.len()];
         let last_touch = vec![0; cores.len()];
         Self {
@@ -540,13 +525,11 @@ impl System {
             warmed_up: false,
             last_retire_cycle: 0,
             sampler,
-            debug_pf: std::env::var_os("IPCP_DEBUG_PF").is_some(),
             cycle_hooks,
             llc_pf_noop,
             pf_scratch: VecSink::new(),
-            fast,
             cal,
-            pq_active: 0,
+            pq_active: vec![0; components.div_ceil(64)],
             wake_at,
             last_touch,
             warm_pending,
@@ -583,157 +566,101 @@ impl System {
     /// # Panics
     ///
     /// Panics if the system deadlocks (no retirement for an implausibly long
-    /// stretch) — that indicates a simulator bug, not a workload property.
+    /// stretch) — that indicates a simulator bug, not a workload property —
+    /// or, in oracle mode, if a shadow check finds the wakeup state out of
+    /// step with the polled machine.
     pub fn run(&mut self) -> SimReport {
-        if self.fast {
-            self.run_fast();
-        } else {
-            self.run_naive();
-        }
+        while !self.step() {}
         self.report()
     }
 
-    /// The exhaustive polling walk: every iteration runs [`Self::cycle`],
-    /// which probes every component's gate, and idle jumps rescan every
-    /// core in [`Self::next_event_time`]. This is the oracle reference the
-    /// wakeup scheduler is byte-compared against (`IPCP_NO_FASTPATH`), and
-    /// the fallback for core counts past `sched::MAX_FAST_CORES`.
-    fn run_naive(&mut self) {
-        loop {
-            let activity = self.cycle();
-            if !self.warmed_up
-                && self
-                    .cores
-                    .iter()
-                    .all(|c| c.retired_total >= self.cfg.warmup_instructions)
+    /// Executes one cycle, takes the warm-up/sample/finish decisions, and
+    /// advances `now` by one cycle or one idle jump. Returns true once
+    /// every core has finished. Each decision is one integer compare
+    /// against a count-maintained threshold (`warm_pending`,
+    /// `sample_due_abs`, `finished_count`).
+    fn step(&mut self) -> bool {
+        let activity = self.cycle();
+        if !self.warmed_up && self.warm_pending == 0 {
+            self.finish_warmup();
+        }
+        if self.warmed_up {
+            if self
+                .cores
+                .first()
+                .is_some_and(|c| c.retired_total >= self.sample_due_abs)
             {
-                self.finish_warmup();
-            }
-            if self.warmed_up {
                 self.maybe_sample();
-                if self.cores.iter().all(|c| c.finished.is_some()) {
-                    break;
-                }
+                self.recompute_sample_due();
             }
-            if activity {
-                self.now += 1;
-            } else {
-                let next = self.next_event_time().unwrap_or(self.now + 1);
-                self.now = next.max(self.now + 1);
+            if self.finished_count == self.cores.len() {
+                return true;
             }
-            assert!(
-                self.now - self.last_retire_cycle < WATCHDOG_CYCLES,
-                "simulator deadlock: no retirement since cycle {} (now {})",
-                self.last_retire_cycle,
-                self.now
-            );
         }
+        if activity {
+            self.now += 1;
+        } else {
+            let next = self.jump_target();
+            if self.cfg.no_fastpath {
+                let polled = self.next_event_time().unwrap_or(self.now + 1);
+                assert_eq!(
+                    next, polled,
+                    "shadow check: calendar jump from cycle {} disagrees with the polled next event",
+                    self.now
+                );
+            }
+            self.sstats.skipped_cycles += next - self.now - 1;
+            self.now = next;
+        }
+        assert!(
+            self.now - self.last_retire_cycle < WATCHDOG_CYCLES,
+            "simulator deadlock: no retirement since cycle {} (now {})",
+            self.last_retire_cycle,
+            self.now
+        );
+        false
     }
 
-    /// The wakeup-driven loop. Identical iteration structure to
-    /// [`Self::run_naive`] — same executed-cycle sequence, same idle
-    /// jumps, same warm-up/sample/finish decision points — but each
-    /// per-cycle check is O(1) against cached state (due-wakeup mask,
-    /// PQ bitmask, per-core wake cycles, retirement-count thresholds)
-    /// instead of a walk over every component.
-    fn run_fast(&mut self) {
-        loop {
-            let activity = self.cycle_fast();
-            if !self.warmed_up && self.warm_pending == 0 {
-                self.finish_warmup();
-            }
-            if self.warmed_up {
-                if self
-                    .cores
-                    .first()
-                    .is_some_and(|c| c.retired_total >= self.sample_due_abs)
-                {
-                    self.maybe_sample();
-                    self.recompute_sample_due();
-                }
-                if self.finished_count == self.cores.len() {
-                    break;
-                }
-            }
-            if activity {
-                self.now += 1;
-            } else {
-                let next = self.jump_target();
-                self.sstats.skipped_cycles += next - self.now - 1;
-                self.now = next;
-            }
-            assert!(
-                self.now - self.last_retire_cycle < WATCHDOG_CYCLES,
-                "simulator deadlock: no retirement since cycle {} (now {})",
-                self.last_retire_cycle,
-                self.now
-            );
-        }
-    }
-
-    /// One simulated cycle on the wakeup path. Touches only components
-    /// whose wakeup is due: fill heaps via the calendar's due set, PQ
-    /// drains via the active-queue bitmask, cores via their wake cycle.
-    /// Skipping is behavior-neutral because each skipped call would have
-    /// fallen through its own gate (see DESIGN.md §10 for the argument
-    /// per component class).
-    fn cycle_fast(&mut self) -> bool {
+    /// One simulated cycle. Touches only components whose wakeup is due:
+    /// fill heaps via the calendar, PQ drains via the active-queue bitset,
+    /// cores via their wake cycle. Skipping is behavior-neutral because
+    /// each skipped call would have fallen through its own gate (see
+    /// DESIGN.md §10 for the argument per component class); oracle mode
+    /// asserts that per cycle.
+    fn cycle(&mut self) -> bool {
         let now = self.now;
+        let oracle = self.cfg.no_fastpath;
         let mut activity = false;
 
-        // Fill wakeups due this cycle, drained into a component bitmask
-        // (ascending component id reproduces the polling walk's order:
-        // LLC first, then per-core L2, L1D, L1I).
-        let mut due = 0u64;
-        while let Some(id) = self.cal.pop_due(now) {
-            due |= 1u64 << id;
-            self.sstats.wakeups_fired += 1;
-        }
-        if due != 0 {
+        // Fill wakeups due this cycle, dispatched straight off the
+        // calendar. `pop_due` yields ascending `(cycle, id)`, and every
+        // live entry is due exactly now (jumps never pass the calendar
+        // minimum), so this is ascending component id: LLC first, then
+        // per-core L2, L1D, L1I.
+        if let Some(first) = self.cal.pop_due(now) {
             let t0 = self.phase_start();
-            activity |= self.process_due_fills(due);
+            activity |= self.process_due_fills(first);
             Self::phase_add(&mut self.phases.fill_ns, t0);
         }
+        if oracle {
+            self.shadow_check_fills();
+            self.shadow_check_pqs();
+        }
 
-        // PQ drains. The snapshot makes mid-phase enqueues wait for the
-        // next executed cycle, exactly like the polling walk's one-pass
-        // `pq_len()` checks (the only mid-phase enqueue source, L1-drain
-        // metadata arrival, targets the same core's L2 — a queue whose
-        // check has already passed in either scheme).
-        if self.pq_active != 0 {
+        // PQ drains, one snapshot per bitset word: mid-phase enqueues wait
+        // for the next executed cycle. The only mid-phase enqueue source,
+        // L1-drain metadata arrival, targets the same core's L2, whose bit
+        // sits at a lower index — a queue already passed this cycle.
+        for w in 0..self.pq_active.len() {
+            let mut bits = self.pq_active[w];
+            if bits == 0 {
+                continue;
+            }
             let t0 = self.phase_start();
-            let mut bits = self.pq_active;
             while bits != 0 {
-                let b = bits.trailing_zeros();
+                let b = 64 * w as u32 + bits.trailing_zeros();
                 bits &= bits - 1;
-                if b == sched::PQ_LLC {
-                    activity |= self.drain_llc_pq();
-                    if self.llc.pq_len() == 0 {
-                        self.pq_active &= !(1u64 << b);
-                    }
-                } else {
-                    let ci = ((b - 1) / 3) as usize;
-                    match (b - 1) % 3 {
-                        0 => {
-                            activity |= self.drain_l2_pq(ci);
-                            if self.cores[ci].l2.pq_len() == 0 {
-                                self.pq_active &= !(1u64 << b);
-                            }
-                        }
-                        1 => {
-                            activity |= self.drain_l1_pq(ci);
-                            if self.cores[ci].l1d.pq_len() == 0 {
-                                self.pq_active &= !(1u64 << b);
-                            }
-                        }
-                        _ => {
-                            activity |= self.drain_l1i_pq(ci);
-                            if self.cores[ci].l1i.pq_len() == 0 {
-                                self.pq_active &= !(1u64 << b);
-                            }
-                        }
-                    }
-                }
+                activity |= self.drain_pq(b);
             }
             Self::phase_add(&mut self.phases.drain_ns, t0);
         }
@@ -746,6 +673,9 @@ impl System {
         // are settled lazily at the next touch.
         for ci in 0..self.cores.len() {
             if self.wake_at[ci] > now {
+                if oracle {
+                    self.shadow_check_idle_core(ci);
+                }
                 continue;
             }
             let missed = self.sstats.executed_cycles - self.last_touch[ci];
@@ -774,41 +704,69 @@ impl System {
         activity
     }
 
-    /// Dispatches due fill wakeups in ascending component order and
-    /// re-arms each processed component from its post-drain heap minimum
-    /// (the re-arm half of the wakeup contract: whoever pops fills must
-    /// re-register the remainder).
-    fn process_due_fills(&mut self, mut due: u64) -> bool {
+    /// Dispatches `first` and every further due fill wakeup, re-arming
+    /// each processed component from its post-drain heap minimum (the
+    /// re-arm half of the wakeup contract: whoever pops fills must
+    /// re-register the remainder). A re-armed minimum lies past `now`, so
+    /// it never comes due again this cycle.
+    fn process_due_fills(&mut self, first: u32) -> bool {
         let mut any = false;
-        while due != 0 {
-            let id = due.trailing_zeros();
-            due &= due - 1;
-            if id == sched::COMP_LLC {
-                any |= self.fill_llc();
-                let nf = self.llc.next_fill_raw();
-                self.cal.note(sched::COMP_LLC, nf);
+        let mut next = Some(first);
+        while let Some(id) = next {
+            self.sstats.wakeups_fired += 1;
+            any |= if id == sched::COMP_LLC {
+                self.fill_llc()
             } else {
                 let ci = ((id - 1) / 3) as usize;
                 match (id - 1) % 3 {
-                    0 => {
-                        any |= self.fill_l2(ci);
-                        let nf = self.cores[ci].l2.next_fill_raw();
-                        self.cal.note(id, nf);
-                    }
-                    1 => {
-                        any |= self.fill_l1d(ci);
-                        let nf = self.cores[ci].l1d.next_fill_raw();
-                        self.cal.note(id, nf);
-                    }
-                    _ => {
-                        any |= self.fill_l1i(ci);
-                        let nf = self.cores[ci].l1i.next_fill_raw();
-                        self.cal.note(id, nf);
-                    }
+                    0 => self.fill_l2(ci),
+                    1 => self.fill_l1(ci, L1::D),
+                    _ => self.fill_l1(ci, L1::I),
                 }
-            }
+            };
+            let nf = self.cache(id).next_fill_raw();
+            self.cal.note(id, nf);
+            next = self.cal.pop_due(self.now);
         }
         any
+    }
+
+    /// Drains prefetch queue `b` (bit layout in `crate::sched`), clearing
+    /// its active bit once the queue is empty.
+    fn drain_pq(&mut self, b: u32) -> bool {
+        let any = if b == sched::PQ_LLC {
+            self.drain_llc_pq()
+        } else {
+            let ci = ((b - 1) / 3) as usize;
+            match (b - 1) % 3 {
+                0 => self.drain_l2_pq(ci),
+                1 => self.drain_l1_pq(ci, L1::D),
+                _ => self.drain_l1_pq(ci, L1::I),
+            }
+        };
+        if self.cache(b).pq_len() == 0 {
+            self.pq_active[b as usize / 64] &= !(1u64 << (b % 64));
+        }
+        any
+    }
+
+    /// The cache behind fill component id `id` (which is also its PQ bit;
+    /// layout in `crate::sched`).
+    fn cache(&self, id: u32) -> &Cache {
+        if id == sched::COMP_LLC {
+            return &self.llc;
+        }
+        let core = &self.cores[((id - 1) / 3) as usize];
+        match (id - 1) % 3 {
+            0 => &core.l2,
+            1 => &core.l1d,
+            _ => &core.l1i,
+        }
+    }
+
+    /// Number of fill components (and of prefetch queues).
+    fn components(&self) -> u32 {
+        3 * self.cores.len() as u32 + 1
     }
 
     /// The earliest cycle core `ci` can possibly act, evaluated after a
@@ -846,10 +804,10 @@ impl System {
         wake
     }
 
-    /// Fast-path idle jump: same candidate set and filters as
+    /// Idle jump: same candidate set and filters as the polled
     /// [`Self::next_event_time`] (fill minima — via the calendar — plus
-    /// ROB-head completions and pending fetch stalls), collapsed to the
-    /// polling walk's `unwrap_or(now + 1).max(now + 1)` advance rule.
+    /// ROB-head completions and pending fetch stalls), falling back to
+    /// `now + 1`.
     fn jump_target(&mut self) -> Cycle {
         let now = self.now;
         let mut t: Option<Cycle> = self.cal.peek_min();
@@ -873,7 +831,7 @@ impl System {
     }
 
     /// Re-caches the absolute core-0 retirement count of the next due
-    /// sample (the satellite `maybe_sample` fast path).
+    /// sample.
     fn recompute_sample_due(&mut self) {
         self.sample_due_abs = match (&self.sampler, self.cores.first()) {
             (Some(s), Some(c0)) => c0.measure_start_instr.saturating_add(s.next_due()),
@@ -881,22 +839,10 @@ impl System {
         };
     }
 
-    /// Registers a fill component's heap minimum in the calendar (no-op
-    /// on the polling path, which rescans heaps directly).
-    #[inline]
-    fn arm_fill(&mut self, id: u32, t: Cycle) {
-        if self.fast {
-            self.cal.note(id, t);
-        }
-    }
-
-    /// Marks a prefetch queue as possibly non-empty (no-op on the polling
-    /// path, whose drain phase checks `pq_len` directly).
+    /// Marks a prefetch queue as possibly non-empty.
     #[inline]
     fn mark_pq(&mut self, bit: u32) {
-        if self.fast {
-            self.pq_active |= 1u64 << bit;
-        }
+        self.pq_active[bit as usize / 64] |= 1u64 << (bit % 64);
     }
 
     fn finish_warmup(&mut self) {
@@ -916,11 +862,11 @@ impl System {
         if let Some(s) = &mut self.sampler {
             s.reset_baseline();
         }
-        // Fast-scheduler bookkeeping across the measurement boundary:
-        // stall accounting restarts from zero (already settled through the
-        // reset above), and every core is forced hot for one cycle so the
+        // Scheduler bookkeeping across the measurement boundary: stall
+        // accounting restarts from zero (already settled through the reset
+        // above), and every core is forced hot for one cycle so the
         // post-warm-up `finished` check runs even if `sim_instructions`
-        // needs no further retirement. Harmless on the polling path.
+        // needs no further retirement.
         for ci in 0..self.cores.len() {
             self.last_touch[ci] = self.sstats.executed_cycles;
             self.wake_at[ci] = 0;
@@ -995,7 +941,7 @@ impl System {
                 .sampler
                 .as_ref()
                 .map_or_else(Default::default, |s| s.samples().into()),
-            sched: (self.fast && self.sched_stats_export).then(|| {
+            sched: self.sched_stats_export.then(|| {
                 let mut st = self.sstats;
                 st.heap_peak = self.cal.heap_peak();
                 st
@@ -1004,87 +950,72 @@ impl System {
         }
     }
 
-    /// The earliest future event: any pending fill or a known ROB-head
-    /// completion or fetch-stall release.
+    /// The polled earliest future event: any pending fill (read off every
+    /// cache's heap) or a known ROB-head completion or fetch-stall release.
+    /// The oracle-mode reference for [`Self::jump_target`].
     fn next_event_time(&self) -> Option<Cycle> {
-        let mut t: Option<Cycle> = None;
-        let mut consider = |c: Option<Cycle>| {
-            if let Some(c) = c {
-                if c != FILL_UNKNOWN && c > 0 {
-                    t = Some(t.map_or(c, |x: Cycle| x.min(c)));
-                }
+        // `FILL_UNKNOWN` is `Cycle::MAX`, so unresolved times never win.
+        let mut t = FILL_UNKNOWN;
+        let mut consider = |c: Cycle| {
+            if c > 0 {
+                t = t.min(c);
             }
         };
-        consider(self.llc.next_fill_time());
+        for id in 0..self.components() {
+            consider(self.cache(id).next_fill_raw());
+        }
         for core in &self.cores {
-            consider(core.l1i.next_fill_time());
-            consider(core.l1d.next_fill_time());
-            consider(core.l2.next_fill_time());
-            consider(core.rob.head_completion());
+            consider(core.rob.head_completion().unwrap_or(FILL_UNKNOWN));
             if core.fetch_stall_until > self.now {
-                consider(Some(core.fetch_stall_until));
+                consider(core.fetch_stall_until);
             }
         }
-        t.filter(|&c| c > self.now)
+        (t > self.now && t != FILL_UNKNOWN).then_some(t)
     }
 
-    /// One simulated cycle; returns whether anything happened.
-    ///
-    /// Event-driven: each component is touched only when its own O(1) state
-    /// says it can have work this cycle (a due fill on the cached heap
-    /// minimum, a non-empty PQ, a pending/ROB entry). Skipping a component
-    /// whose gate is closed is behavior-neutral by construction — the
-    /// skipped call would have fallen straight through its first check —
-    /// so reports stay byte-identical to the exhaustive per-cycle sweep.
-    fn cycle(&mut self) -> bool {
-        let now = self.now;
-        let mut activity = false;
+    // ------------------------------------------------------------------
+    // Oracle-mode shadow checks: each re-derives one skip decision of the
+    // wakeup scheduler by polling and asserts the wakeup state agrees.
+    // ------------------------------------------------------------------
 
-        let fills_due = self.llc.fill_due(now)
-            || self
-                .cores
-                .iter()
-                .any(|c| c.l2.fill_due(now) || c.l1d.fill_due(now) || c.l1i.fill_due(now));
-        if fills_due {
-            let t0 = self.phase_start();
-            activity |= self.process_fills();
-            Self::phase_add(&mut self.phases.fill_ns, t0);
+    /// After the fill phase no fill may still be due: every component
+    /// whose heap minimum came due was popped from the calendar.
+    fn shadow_check_fills(&self) {
+        for id in 0..self.components() {
+            assert!(
+                !self.cache(id).fill_due(self.now),
+                "shadow check: calendar missed fill component {id} due at cycle {}",
+                self.now
+            );
         }
-        let t0 = self.phase_start();
-        if self.llc.pq_len() > 0 {
-            activity |= self.drain_llc_pq();
+    }
+
+    /// Every non-empty prefetch queue has its `pq_active` bit set.
+    fn shadow_check_pqs(&self) {
+        for b in 0..self.components() {
+            let set = self.pq_active[b as usize / 64] >> (b % 64) & 1 == 1;
+            let len = self.cache(b).pq_len();
+            assert!(
+                set || len == 0,
+                "shadow check: prefetch queue {b} holds {len} entries at cycle {} but its pq_active bit is clear",
+                self.now
+            );
         }
-        for ci in 0..self.cores.len() {
-            if self.cores[ci].l2.pq_len() > 0 {
-                activity |= self.drain_l2_pq(ci);
-            }
-            if self.cores[ci].l1d.pq_len() > 0 {
-                activity |= self.drain_l1_pq(ci);
-            }
-            if self.cores[ci].l1i.pq_len() > 0 {
-                activity |= self.drain_l1i_pq(ci);
-            }
-        }
-        Self::phase_add(&mut self.phases.drain_ns, t0);
-        for ci in 0..self.cores.len() {
-            let t0 = self.phase_start();
-            let retired = self.retire(ci);
-            if retired == 0 {
-                self.cores[ci].stall_cycles += 1;
-            } else {
-                activity = true;
-                self.last_retire_cycle = now;
-            }
-            if !self.cores[ci].pending.is_empty() {
-                activity |= self.issue(ci) > 0;
-            }
-            Self::phase_add(&mut self.phases.issue_ns, t0);
-            let t0 = self.phase_start();
-            activity |= self.fetch(ci) > 0;
-            Self::phase_add(&mut self.phases.decode_ns, t0);
-        }
-        self.run_on_cycle_hooks();
-        activity
+    }
+
+    /// A core skipped this cycle could not have retired, issued or fetched.
+    fn shadow_check_idle_core(&self, ci: usize) {
+        let core = &self.cores[ci];
+        let now = self.now;
+        let retire = core.rob.retire_ready(now, self.cfg.core.retire_width) > 0;
+        let issue = !core.pending.is_empty();
+        let fetch = core.fetch_stall_until <= now && !core.rob.is_full();
+        assert!(
+            !(retire || issue || fetch),
+            "shadow check: core {ci} sleeps until cycle {} but can act at cycle {now} \
+             (retire {retire}, issue {issue}, fetch {fetch})",
+            self.wake_at[ci]
+        );
     }
 
     fn run_on_cycle_hooks(&mut self) {
@@ -1095,11 +1026,11 @@ impl System {
         for ci in 0..self.cores.len() {
             self.cores[ci].l1i_pf.on_cycle(self.now, &mut sink);
             for req in sink.requests.drain(..) {
-                self.enqueue_l1i_request(ci, req, Ip(0));
+                self.enqueue_l1_request(ci, L1::I, req, Ip(0));
             }
             self.cores[ci].l1d_pf.on_cycle(self.now, &mut sink);
             for req in sink.requests.drain(..) {
-                self.enqueue_l1_request(ci, req, Ip(0));
+                self.enqueue_l1_request(ci, L1::D, req, Ip(0));
             }
             self.cores[ci].l2_pf.on_cycle(self.now, &mut sink);
             for req in sink.requests.drain(..) {
@@ -1123,9 +1054,8 @@ impl System {
         let width = self.cfg.core.retire_width;
         let core = &mut self.cores[ci];
         let before = core.retired_total;
-        // Bulk contiguous scan over the completion ring (shared by both
-        // run loops; identical retirement decisions to the one-at-a-time
-        // head walk, so the oracle comparison is unaffected).
+        // Bulk contiguous scan over the completion ring (identical
+        // retirement decisions to a one-at-a-time head walk).
         let n = core.rob.retire_ready(now, width);
         core.rob.pop_n(n);
         core.retired_total += u64::from(n);
@@ -1151,10 +1081,10 @@ impl System {
         n
     }
 
+    /// The general issue window. Loads issue out of order within a small
+    /// scheduler window: a structurally rejected access (MSHR full
+    /// downstream) does not block younger, independent accesses behind it.
     fn issue(&mut self, ci: usize) -> u32 {
-        // Loads issue out of order within a small scheduler window: a
-        // structurally rejected access (MSHR full downstream) does not
-        // block younger, independent accesses behind it.
         const ISSUE_WINDOW: usize = 8;
         let now = self.now;
         let mut n = 0;
@@ -1190,64 +1120,15 @@ impl System {
         n
     }
 
-    fn fetch(&mut self, ci: usize) -> u32 {
-        if self.cores[ci].fetch_stall_until > self.now {
-            return 0;
-        }
-        let width = self.cfg.core.fetch_width;
-        let alu_latency = self.cfg.core.alu_latency;
-        let mut n = 0;
-        while n < width {
-            if self.cores[ci].rob.is_full() {
-                break;
-            }
-            let instr = self.cores[ci].next_instr();
-            // Instruction fetch: touch the L1I once per new line.
-            let iline = LineAddr::from_byte_addr(instr.ip.raw());
-            if self.cores[ci].last_ifetch_line != Some(iline) {
-                if !self.ifetch(ci, iline, instr.ip) {
-                    // Port/MSHR reject: re-fetch this line next cycle. The
-                    // instruction itself still dispatches (the line will be
-                    // re-probed) — simpler and harmless, since traces have
-                    // tiny code footprints.
-                    self.cores[ci].last_ifetch_line = None;
-                } else {
-                    self.cores[ci].last_ifetch_line = Some(iline);
-                }
-            }
-            let now = self.now;
-            let core = &mut self.cores[ci];
-            match instr.mem {
-                MemOp::None => {
-                    core.rob.push(now + alu_latency);
-                }
-                MemOp::Load(vaddr) => {
-                    let (seq, slot) = core.rob.push(FILL_UNKNOWN);
-                    core.pending
-                        .push_back(PendingMem::new(seq, slot, instr.ip, vaddr, false));
-                }
-                MemOp::Store(vaddr) => {
-                    let (seq, slot) = core.rob.push(FILL_UNKNOWN);
-                    core.pending
-                        .push_back(PendingMem::new(seq, slot, instr.ip, vaddr, true));
-                }
-            }
-            n += 1;
-            if self.cores[ci].fetch_stall_until > self.now {
-                break;
-            }
-        }
-        n
-    }
-
-    /// Column-oriented fetch (fast scheduler only): walks the look-ahead
-    /// buffer's decoded columns directly instead of materializing one
-    /// [`Instr`] per slot, and dispatches runs of non-memory instructions
-    /// on an already-fetched instruction line as a single bulk ROB push.
-    /// Dispatch decisions are identical to [`System::fetch`]: the bulk run
-    /// only covers instructions the naive loop would pass straight through
-    /// (same iline ⇒ no L1I probe; no memory op ⇒ no pending entry; a nop
-    /// can never set the fetch stall the naive loop re-checks per slot).
+    /// Column-oriented fetch: walks the look-ahead buffer's decoded
+    /// columns directly, one instruction per slot up to the fetch width,
+    /// touching the L1I once per new instruction line. Fast arm: a run of
+    /// non-memory instructions on an already-fetched instruction line is
+    /// dispatched as a single bulk ROB push. The run only covers slots the
+    /// one-at-a-time walk would pass straight through (same iline ⇒ no
+    /// L1I probe; no memory op ⇒ no pending entry; a nop can never set the
+    /// fetch stall the walk re-checks per slot); oracle mode switches it
+    /// off.
     fn fetch_fast(&mut self, ci: usize) -> u32 {
         let now = self.now;
         if self.cores[ci].fetch_stall_until > now {
@@ -1255,6 +1136,7 @@ impl System {
         }
         let width = self.cfg.core.fetch_width as usize;
         let alu_latency = self.cfg.core.alu_latency;
+        let bulk_nops = !self.cfg.no_fastpath;
         let mut n = 0;
         while n < width {
             let core = &mut self.cores[ci];
@@ -1268,7 +1150,7 @@ impl System {
             let iline_raw = core.derived.ilines[pos];
             let same_iline = core.last_ifetch_line.is_some_and(|l| l.raw() == iline_raw);
             let (ips, kinds, _addrs) = core.ibuf.columns();
-            if kinds[pos] == KIND_NONE && same_iline {
+            if bulk_nops && kinds[pos] == KIND_NONE && same_iline {
                 // Maximal nop run on the resident line, bounded by fetch
                 // width, ROB space, and the batch edge.
                 let lim = pos + (width - n).min(core.rob.space()).min(core.ibuf.len() - pos);
@@ -1298,8 +1180,10 @@ impl System {
                 // check is the same port take, for the exact reject path.
                 // A non-noop L1-I prefetcher disables the memo entirely:
                 // its `on_access` hook must observe every new ifetch line,
-                // so both schedulers take the full `ifetch` path and the
-                // hook stream is identical by construction (DESIGN.md §12).
+                // so every line takes the full `ifetch` path and the hook
+                // stream is identical by construction (DESIGN.md §12). In
+                // oracle mode the TLB memo is never armed, so the arm is
+                // off.
                 let core = &mut self.cores[ci];
                 let fast_hit = core.l1i_pf_noop
                     && core
@@ -1335,13 +1219,7 @@ impl System {
                     store: kind != KIND_LOAD,
                     vline: LineAddr::new(d.lines[pos]),
                     vpage: d.vpages[pos],
-                    decode: AddrDecode {
-                        page_off: ipcp_mem::LineOffset::new(d.pageoffs[pos]),
-                        region: ipcp_mem::RegionId::new(d.regions[pos]),
-                        region_off: ipcp_mem::RegionOffset::new(d.pageoffs[pos] & 0x1f),
-                        vpage_lsb2: (d.vpages[pos] & 3) as u8,
-                        ip_key: d.ipkeys[pos],
-                    },
+                    decode: AddrDecode::from_cols(d, pos),
                 });
             }
             n += 1;
@@ -1405,7 +1283,7 @@ impl System {
                 });
                 core.fetch_stall_until = fill_at;
                 let nf = core.l1i.next_fill_raw();
-                self.arm_fill(sched::comp_l1i(ci), nf);
+                self.cal.note(sched::comp_l1i(ci), nf);
                 self.run_l1i_prefetcher(ci, vline, pline, ip, false, false, 0);
                 true
             }
@@ -1442,15 +1320,6 @@ impl System {
             ProbeResult::MshrMerge { fill_at } => {
                 self.run_l1d_prefetcher(ci, pm, pline, kind, false, false, 0);
                 let c = fill_at.max(t + l1_lat);
-                if self.debug_pf && c > t + 60 {
-                    eprintln!(
-                        "MERGE line {:#x} t {} fill {} wait {}",
-                        pline.raw(),
-                        t,
-                        fill_at,
-                        c - t
-                    );
-                }
                 let stats = &mut self.cores[ci].l1d.stats;
                 stats.miss_latency_sum += c - t;
                 stats.merge_wait_sum += c - t;
@@ -1472,31 +1341,29 @@ impl System {
                     ip,
                 });
                 let nf = core.l1d.next_fill_raw();
-                self.arm_fill(sched::comp_l1d(ci), nf);
+                self.cal.note(sched::comp_l1d(ci), nf);
                 self.run_l1d_prefetcher(ci, pm, pline, kind, false, false, 0);
                 Some(fill_at)
             }
         }
     }
 
-    /// The hit-streak fused issue path (fast scheduler only): a maximal
-    /// run of pending accesses that repeat the L1D's memoized last demand
-    /// hit under the DTLB's memoized translation is committed with one
-    /// batched stats/port/ROB update, then the prefetcher is trained once
-    /// per access — training is observably stateful (RR-filter recency,
-    /// RST touches, NL issue) even on repeated hits, so only the cache,
-    /// TLB, and ROB side of the run may batch; the replay is exact,
-    /// including the memoized hit's `first_use = false` / memo-class
-    /// observation. Everything that falls outside a run takes the same
-    /// per-entry walk as [`System::issue`] (whose `demand_lookup` and
-    /// `translate` contain the single-access memo paths), so the fused
-    /// loop is behavior-identical to the naive one.
+    /// The demand issue path. Fast arm (phase 1): a maximal run of pending
+    /// accesses that repeat the L1D's memoized last demand hit under the
+    /// DTLB's memoized translation is committed with one batched
+    /// stats/port/ROB update, then the prefetcher is trained once per
+    /// access — training is observably stateful (RR-filter recency, RST
+    /// touches, NL issue) even on repeated hits, so only the cache, TLB,
+    /// and ROB side of the run may batch; the replay is exact, including
+    /// the memoized hit's `first_use = false` / memo-class observation.
+    /// Everything that falls outside a run takes the per-entry walk of
+    /// [`System::issue`]. In oracle mode neither memo is ever armed, so
+    /// every access takes that walk.
     fn issue_fused(&mut self, ci: usize) -> u32 {
-        const ISSUE_WINDOW: usize = 8;
         let now = self.now;
         let mut n = 0;
         // Phase 1: hit-streak runs at the head of the pending queue. The
-        // run is bounded by free L1D ports (the naive loop's real limiter:
+        // run is bounded by free L1D ports (the issue window's real limiter:
         // every issued access takes a port) and restricted to the exact
         // line of the set's memo — a hit on any *other* line would arm a
         // new memo and touch replacement state, so it ends the run.
@@ -1530,7 +1397,7 @@ impl System {
             core.tlb.note_memo_hits(k as u64);
             // All loads in the run complete together (memoized translation
             // is penalty-free, so t = now); stores retire at now + 1 as in
-            // the naive loop.
+            // the issue window.
             let load_c = now + core.l1d.latency();
             for j in 0..k {
                 let pm = core.pending[j];
@@ -1551,36 +1418,8 @@ impl System {
             self.cores[ci].pending.drain(..k);
             n += k as u32;
         }
-        // Phase 2: the general window, shaped exactly like the naive
-        // [`System::issue`] loop but reading the precomputed line/page/
-        // decode fields off the pending entry.
-        let mut i = 0;
-        loop {
-            let core = &mut self.cores[ci];
-            if i >= core.pending.len().min(ISSUE_WINDOW) {
-                break;
-            }
-            if !core.l1d.try_take_port(now) {
-                break;
-            }
-            let pm = core.pending[i];
-            let (ppage, penalty) = core
-                .tlb
-                .translate(ipcp_mem::VPage::new(pm.vpage), &mut core.mapper);
-            let pline = phys_line(ppage.raw(), pm.vline);
-            let t = now + penalty;
-            match self.resolve_l1d_demand(ci, &pm, pline, t) {
-                Some(completion) => {
-                    let core = &mut self.cores[ci];
-                    let c = if pm.store { now + 1 } else { completion };
-                    core.rob.set_completion(pm.seq, pm.slot, c);
-                    core.pending.remove(i);
-                    n += 1;
-                }
-                None => i += 1, // structural reject: retry next cycle
-            }
-        }
-        n
+        // Phase 2: the general window over whatever falls outside a run.
+        n + self.issue(ci)
     }
 
     fn resolve_l2_demand(
@@ -1628,7 +1467,7 @@ impl System {
                     ip,
                 });
                 let nf = core.l2.next_fill_raw();
-                self.arm_fill(sched::comp_l2(ci), nf);
+                self.cal.note(sched::comp_l2(ci), nf);
                 self.run_l2_prefetcher_access(ci, pline, ip, kind, false, false, 0);
                 Some(fill_at)
             }
@@ -1678,7 +1517,7 @@ impl System {
                     ip,
                 });
                 let nf = self.llc.next_fill_raw();
-                self.arm_fill(sched::COMP_LLC, nf);
+                self.cal.note(sched::COMP_LLC, nf);
                 self.run_llc_prefetcher_access(ci, pline, ip, kind, false, false, 0);
                 Some(done)
             }
@@ -1689,149 +1528,54 @@ impl System {
     // Prefetch path
     // ------------------------------------------------------------------
 
-    fn drain_l1_pq(&mut self, ci: usize) -> bool {
+    /// Drains an L1 prefetch queue. The I side shares the data side's
+    /// L2/LLC resolve machinery (and therefore the same L2 MSHR/PQ
+    /// pressure and metadata-arrival path) — the composition the frontend
+    /// figures measure.
+    fn drain_l1_pq(&mut self, ci: usize, side: L1) -> bool {
         let mut any = false;
         for _ in 0..PF_DRAIN_PER_CYCLE {
-            let Some(qp) = self.cores[ci].l1d.peek_prefetch().copied() else {
+            let l1 = self.cores[ci].l1(side);
+            let Some(qp) = l1.peek_prefetch().copied() else {
                 break;
             };
-            match qp.req.fill {
-                FillLevel::L1 => match self.cores[ci].l1d.prefetch_probe(qp.pline) {
+            if qp.req.fill == FillLevel::L1 {
+                match l1.prefetch_probe(qp.pline) {
                     ProbeResult::Hit { .. } | ProbeResult::MshrMerge { .. } => {
-                        self.cores[ci].l1d.pop_prefetch();
-                        self.cores[ci].l1d.stats.pf_dropped_present += 1;
+                        l1.pop_prefetch();
+                        l1.stats.pf_dropped_present += 1;
                         any = true;
+                        continue;
                     }
                     ProbeResult::MshrFull => break,
-                    ProbeResult::Miss => {
-                        self.cores[ci].l1d.pop_prefetch();
-                        match self.resolve_l2_prefetch(ci, &qp, self.now + PF_ISSUE_LATENCY) {
-                            Some(c) => {
-                                if self.debug_pf {
-                                    eprintln!(
-                                        "PF line {:#x} now {} fill {}",
-                                        qp.pline.raw(),
-                                        self.now,
-                                        c + FILL_FORWARD
-                                    );
-                                }
-                                let core = &mut self.cores[ci];
-                                core.l1d.alloc_mshr(Mshr {
-                                    line: qp.pline,
-                                    fill_at: c + FILL_FORWARD,
-                                    is_prefetch: true,
-                                    pf_class: qp.req.pf_class,
-                                    dirty: false,
-                                    ip: qp.ip,
-                                });
-                                let nf = core.l1d.next_fill_raw();
-                                self.arm_fill(sched::comp_l1d(ci), nf);
-                            }
-                            None => {
-                                self.cores[ci].l1d.stats.pf_dropped_mshr_full += 1;
-                            }
-                        }
-                        any = true;
-                    }
-                },
-                FillLevel::L2 => {
-                    self.cores[ci].l1d.pop_prefetch();
-                    if self
-                        .resolve_l2_prefetch(ci, &qp, self.now + PF_ISSUE_LATENCY)
-                        .is_none()
-                    {
-                        self.cores[ci].l1d.stats.pf_dropped_mshr_full += 1;
-                    }
-                    any = true;
-                }
-                FillLevel::Llc => {
-                    self.cores[ci].l1d.pop_prefetch();
-                    if self
-                        .resolve_llc_prefetch(
-                            qp.pline,
-                            qp.req.pf_class,
-                            qp.ip,
-                            self.now + PF_ISSUE_LATENCY,
-                        )
-                        .is_none()
-                    {
-                        self.cores[ci].l1d.stats.pf_dropped_mshr_full += 1;
-                    }
-                    any = true;
+                    ProbeResult::Miss => {}
                 }
             }
-        }
-        any
-    }
-
-    /// Drains the L1I prefetch queue: the I-side twin of
-    /// [`System::drain_l1_pq`], sharing the same L2/LLC resolve machinery
-    /// (and therefore the same L2 MSHR/PQ pressure and metadata-arrival
-    /// path) as the data side — the composition the frontend figures
-    /// measure.
-    fn drain_l1i_pq(&mut self, ci: usize) -> bool {
-        let mut any = false;
-        for _ in 0..PF_DRAIN_PER_CYCLE {
-            let Some(qp) = self.cores[ci].l1i.peek_prefetch().copied() else {
-                break;
+            l1.pop_prefetch();
+            let t = self.now + PF_ISSUE_LATENCY;
+            let issued = match qp.req.fill {
+                FillLevel::L1 => self.resolve_l2_prefetch(ci, &qp, t).map(|c| {
+                    let l1 = self.cores[ci].l1(side);
+                    l1.alloc_mshr(Mshr {
+                        line: qp.pline,
+                        fill_at: c + FILL_FORWARD,
+                        is_prefetch: true,
+                        pf_class: qp.req.pf_class,
+                        dirty: false,
+                        ip: qp.ip,
+                    });
+                    let nf = l1.next_fill_raw();
+                    self.cal.note(side.id(ci), nf);
+                }),
+                FillLevel::L2 => self.resolve_l2_prefetch(ci, &qp, t).map(drop),
+                FillLevel::Llc => self
+                    .resolve_llc_prefetch(qp.pline, qp.req.pf_class, qp.ip, t)
+                    .map(drop),
             };
-            match qp.req.fill {
-                FillLevel::L1 => match self.cores[ci].l1i.prefetch_probe(qp.pline) {
-                    ProbeResult::Hit { .. } | ProbeResult::MshrMerge { .. } => {
-                        self.cores[ci].l1i.pop_prefetch();
-                        self.cores[ci].l1i.stats.pf_dropped_present += 1;
-                        any = true;
-                    }
-                    ProbeResult::MshrFull => break,
-                    ProbeResult::Miss => {
-                        self.cores[ci].l1i.pop_prefetch();
-                        match self.resolve_l2_prefetch(ci, &qp, self.now + PF_ISSUE_LATENCY) {
-                            Some(c) => {
-                                let core = &mut self.cores[ci];
-                                core.l1i.alloc_mshr(Mshr {
-                                    line: qp.pline,
-                                    fill_at: c + FILL_FORWARD,
-                                    is_prefetch: true,
-                                    pf_class: qp.req.pf_class,
-                                    dirty: false,
-                                    ip: qp.ip,
-                                });
-                                let nf = core.l1i.next_fill_raw();
-                                self.arm_fill(sched::comp_l1i(ci), nf);
-                            }
-                            None => {
-                                self.cores[ci].l1i.stats.pf_dropped_mshr_full += 1;
-                            }
-                        }
-                        any = true;
-                    }
-                },
-                FillLevel::L2 => {
-                    self.cores[ci].l1i.pop_prefetch();
-                    if self
-                        .resolve_l2_prefetch(ci, &qp, self.now + PF_ISSUE_LATENCY)
-                        .is_none()
-                    {
-                        self.cores[ci].l1i.stats.pf_dropped_mshr_full += 1;
-                    }
-                    any = true;
-                }
-                FillLevel::Llc => {
-                    self.cores[ci].l1i.pop_prefetch();
-                    if self
-                        .resolve_llc_prefetch(
-                            qp.pline,
-                            qp.req.pf_class,
-                            qp.ip,
-                            self.now + PF_ISSUE_LATENCY,
-                        )
-                        .is_none()
-                    {
-                        self.cores[ci].l1i.stats.pf_dropped_mshr_full += 1;
-                    }
-                    any = true;
-                }
+            if issued.is_none() {
+                self.cores[ci].l1(side).stats.pf_dropped_mshr_full += 1;
             }
+            any = true;
         }
         any
     }
@@ -1858,7 +1602,7 @@ impl System {
                     ip: qp.ip,
                 });
                 let nf = self.cores[ci].l2.next_fill_raw();
-                self.arm_fill(sched::comp_l2(ci), nf);
+                self.cal.note(sched::comp_l2(ci), nf);
                 Some(fill_at)
             }
         }
@@ -1887,7 +1631,7 @@ impl System {
                     ip,
                 });
                 let nf = self.llc.next_fill_raw();
-                self.arm_fill(sched::COMP_LLC, nf);
+                self.cal.note(sched::COMP_LLC, nf);
                 Some(done)
             }
         }
@@ -1896,62 +1640,45 @@ impl System {
     fn drain_l2_pq(&mut self, ci: usize) -> bool {
         let mut any = false;
         for _ in 0..PF_DRAIN_PER_CYCLE {
-            let Some(qp) = self.cores[ci].l2.peek_prefetch().copied() else {
+            let l2 = &mut self.cores[ci].l2;
+            let Some(qp) = l2.peek_prefetch().copied() else {
                 break;
             };
-            match qp.req.fill {
-                FillLevel::Llc => {
-                    self.cores[ci].l2.pop_prefetch();
-                    if self
-                        .resolve_llc_prefetch(
-                            qp.pline,
-                            qp.req.pf_class,
-                            qp.ip,
-                            self.now + PF_ISSUE_LATENCY,
-                        )
-                        .is_none()
-                    {
-                        self.cores[ci].l2.stats.pf_dropped_mshr_full += 1;
-                    }
-                    any = true;
-                }
-                // L1 targets are clamped to L2 here: an L2 prefetcher cannot
-                // fill upward.
-                FillLevel::L1 | FillLevel::L2 => match self.cores[ci].l2.prefetch_probe(qp.pline) {
+            // L1 targets are clamped to L2 here: an L2 prefetcher cannot
+            // fill upward.
+            let into_l2 = qp.req.fill != FillLevel::Llc;
+            if into_l2 {
+                match l2.prefetch_probe(qp.pline) {
                     ProbeResult::Hit { .. } | ProbeResult::MshrMerge { .. } => {
-                        self.cores[ci].l2.pop_prefetch();
-                        self.cores[ci].l2.stats.pf_dropped_present += 1;
+                        l2.pop_prefetch();
+                        l2.stats.pf_dropped_present += 1;
                         any = true;
+                        continue;
                     }
                     ProbeResult::MshrFull => break,
-                    ProbeResult::Miss => {
-                        self.cores[ci].l2.pop_prefetch();
-                        match self.resolve_llc_prefetch(
-                            qp.pline,
-                            qp.req.pf_class,
-                            qp.ip,
-                            self.now + PF_ISSUE_LATENCY,
-                        ) {
-                            Some(c) => {
-                                self.cores[ci].l2.alloc_mshr(Mshr {
-                                    line: qp.pline,
-                                    fill_at: c + FILL_FORWARD,
-                                    is_prefetch: true,
-                                    pf_class: qp.req.pf_class,
-                                    dirty: false,
-                                    ip: qp.ip,
-                                });
-                                let nf = self.cores[ci].l2.next_fill_raw();
-                                self.arm_fill(sched::comp_l2(ci), nf);
-                            }
-                            None => {
-                                self.cores[ci].l2.stats.pf_dropped_mshr_full += 1;
-                            }
-                        }
-                        any = true;
-                    }
-                },
+                    ProbeResult::Miss => {}
+                }
             }
+            l2.pop_prefetch();
+            let t = self.now + PF_ISSUE_LATENCY;
+            match self.resolve_llc_prefetch(qp.pline, qp.req.pf_class, qp.ip, t) {
+                Some(c) if into_l2 => {
+                    let l2 = &mut self.cores[ci].l2;
+                    l2.alloc_mshr(Mshr {
+                        line: qp.pline,
+                        fill_at: c + FILL_FORWARD,
+                        is_prefetch: true,
+                        pf_class: qp.req.pf_class,
+                        dirty: false,
+                        ip: qp.ip,
+                    });
+                    let nf = l2.next_fill_raw();
+                    self.cal.note(sched::comp_l2(ci), nf);
+                }
+                Some(_) => {}
+                None => self.cores[ci].l2.stats.pf_dropped_mshr_full += 1,
+            }
+            any = true;
         }
         any
     }
@@ -1983,7 +1710,7 @@ impl System {
                         ip: qp.ip,
                     });
                     let nf = self.llc.next_fill_raw();
-                    self.arm_fill(sched::COMP_LLC, nf);
+                    self.cal.note(sched::COMP_LLC, nf);
                     any = true;
                 }
             }
@@ -2043,9 +1770,10 @@ impl System {
         let memo_ok = !self.cfg.no_fastpath;
         for req in sink.requests.drain(..) {
             if memo_ok && req.virtual_addr && req.line.vpage() == trigger_vpage {
-                self.enqueue_l1_translated(ci, req, ip, phys_line(trigger_frame, req.line));
+                let pline = phys_line(trigger_frame, req.line);
+                self.enqueue_l1_translated(ci, L1::D, req, ip, pline);
             } else {
-                self.enqueue_l1_request(ci, req, ip);
+                self.enqueue_l1_request(ci, L1::D, req, ip);
             }
         }
         sink.dropped = 0;
@@ -2056,7 +1784,7 @@ impl System {
     /// The L1-I twin of [`System::run_l1d_prefetcher`], invoked from every
     /// [`System::ifetch`] outcome. Only reachable with a non-noop I-side
     /// prefetcher attached, in which case the fast repeat-ifetch memo is
-    /// disabled and both schedulers deliver the identical access stream.
+    /// disabled so the hook sees every new ifetch line.
     #[allow(clippy::too_many_arguments)]
     fn run_l1i_prefetcher(
         &mut self,
@@ -2091,7 +1819,7 @@ impl System {
         let mut sink = std::mem::take(&mut self.pf_scratch);
         self.cores[ci].l1i_pf.on_access(&info, &mut sink);
         for req in sink.requests.drain(..) {
-            self.enqueue_l1i_request(ci, req, ip);
+            self.enqueue_l1_request(ci, L1::I, req, ip);
         }
         sink.dropped = 0;
         self.pf_scratch = sink;
@@ -2204,71 +1932,42 @@ impl System {
         Self::phase_add(&mut self.phases.train_ns, t0);
     }
 
-    fn enqueue_l1_request(&mut self, ci: usize, req: PrefetchRequest, ip: Ip) {
-        let core = &mut self.cores[ci];
-        let pline = if req.virtual_addr {
-            let vpage = req.line.vpage();
-            let ppage = core.tlb.translate_untimed(vpage, &mut core.mapper);
-            phys_line(ppage.raw(), req.line)
-        } else {
-            req.line
-        };
-        self.enqueue_l1_translated(ci, req, ip, pline);
+    /// Enqueues a prefetch into an L1's PQ. Virtual targets translate
+    /// through the untimed TLB path (code addresses are virtual, like every
+    /// L1-fill request).
+    fn enqueue_l1_request(&mut self, ci: usize, side: L1, req: PrefetchRequest, ip: Ip) {
+        let pline = self.cores[ci].request_pline(&req);
+        self.enqueue_l1_translated(ci, side, req, ip, pline);
     }
 
-    fn enqueue_l1_translated(&mut self, ci: usize, req: PrefetchRequest, ip: Ip, pline: LineAddr) {
-        let core = &mut self.cores[ci];
+    fn enqueue_l1_translated(
+        &mut self,
+        ci: usize,
+        side: L1,
+        req: PrefetchRequest,
+        ip: Ip,
+        pline: LineAddr,
+    ) {
+        let l1 = self.cores[ci].l1(side);
         // A prefetch whose target is already resident (or in flight) at its
         // own fill level is dropped at enqueue so it does not consume PQ
         // slots or drain bandwidth.
         if req.fill == FillLevel::L1
             && !matches!(
-                core.l1d.prefetch_probe(pline),
+                l1.prefetch_probe(pline),
                 ProbeResult::Miss | ProbeResult::MshrFull
             )
         {
-            core.l1d.stats.pf_dropped_present += 1;
+            l1.stats.pf_dropped_present += 1;
             return;
         }
-        core.l1d.enqueue_prefetch(QueuedPrefetch { req, pline, ip });
-        self.mark_pq(sched::pq_l1d(ci));
-    }
-
-    /// Enqueues an I-side prefetch request into the L1I's PQ. Virtual
-    /// targets translate through the untimed ITLB path (code addresses are
-    /// virtual, like every L1-fill request); already-resident targets are
-    /// dropped at enqueue, mirroring [`System::enqueue_l1_translated`].
-    fn enqueue_l1i_request(&mut self, ci: usize, req: PrefetchRequest, ip: Ip) {
-        let core = &mut self.cores[ci];
-        let pline = if req.virtual_addr {
-            let vpage = req.line.vpage();
-            let ppage = core.tlb.translate_untimed(vpage, &mut core.mapper);
-            phys_line(ppage.raw(), req.line)
-        } else {
-            req.line
-        };
-        if req.fill == FillLevel::L1
-            && !matches!(
-                core.l1i.prefetch_probe(pline),
-                ProbeResult::Miss | ProbeResult::MshrFull
-            )
-        {
-            core.l1i.stats.pf_dropped_present += 1;
-            return;
-        }
-        core.l1i.enqueue_prefetch(QueuedPrefetch { req, pline, ip });
-        self.mark_pq(sched::pq_l1i(ci));
+        l1.enqueue_prefetch(QueuedPrefetch { req, pline, ip });
+        self.mark_pq(side.id(ci));
     }
 
     fn enqueue_l2_request(&mut self, ci: usize, req: PrefetchRequest, ip: Ip) {
         let core = &mut self.cores[ci];
-        let pline = if req.virtual_addr {
-            let vpage = req.line.vpage();
-            let ppage = core.tlb.translate_untimed(vpage, &mut core.mapper);
-            phys_line(ppage.raw(), req.line)
-        } else {
-            req.line
-        };
+        let pline = core.request_pline(&req);
         // L2 prefetchers fill at most to the L2.
         let req = if req.fill == FillLevel::L1 {
             req.with_fill(FillLevel::L2)
@@ -2301,19 +2000,6 @@ impl System {
     // ------------------------------------------------------------------
     // Fills and write-backs
     // ------------------------------------------------------------------
-
-    fn process_fills(&mut self) -> bool {
-        let mut any = false;
-        // LLC first, then private levels (order is immaterial: fill times
-        // were staggered when the MSHRs were allocated).
-        any |= self.fill_llc();
-        for ci in 0..self.cores.len() {
-            any |= self.fill_l2(ci);
-            any |= self.fill_l1d(ci);
-            any |= self.fill_l1i(ci);
-        }
-        any
-    }
 
     fn fill_llc(&mut self) -> bool {
         let now = self.now;
@@ -2357,46 +2043,28 @@ impl System {
         any
     }
 
-    fn fill_l1d(&mut self, ci: usize) -> bool {
+    fn fill_l1(&mut self, ci: usize, side: L1) -> bool {
         let now = self.now;
         let mut any = false;
-        while let Some(m) = self.cores[ci].l1d.pop_ready_fill(now) {
+        while let Some(m) = self.cores[ci].l1(side).pop_ready_fill(now) {
             any = true;
-            let evicted =
-                self.cores[ci]
-                    .l1d
-                    .install(m.line, m.ip, m.is_prefetch, m.pf_class, m.dirty);
-            if let Some(ev) = evicted {
-                if ev.dirty {
-                    self.cores[ci].l1d.stats.writebacks += 1;
-                    if !self.cores[ci].l2.writeback_hit(ev.line) && !self.llc.writeback_hit(ev.line)
-                    {
-                        self.dram.schedule_write(now, ev.line);
-                    }
+            let core = &mut self.cores[ci];
+            let l1 = core.l1(side);
+            let evicted = l1.install(m.line, m.ip, m.is_prefetch, m.pf_class, m.dirty);
+            // Instruction lines are never written, so only the data side
+            // has a writeback leg.
+            if let Some(ev) = evicted.filter(|ev| ev.dirty) {
+                debug_assert!(side == L1::D, "instruction lines are never dirty");
+                l1.stats.writebacks += 1;
+                if !core.l2.writeback_hit(ev.line) && !self.llc.writeback_hit(ev.line) {
+                    self.dram.schedule_write(now, ev.line);
                 }
             }
-            let info = fill_info(now, &m, evicted);
-            self.cores[ci].l1d_pf.on_fill(&info);
-        }
-        any
-    }
-
-    fn fill_l1i(&mut self, ci: usize) -> bool {
-        let now = self.now;
-        let mut any = false;
-        while let Some(m) = self.cores[ci].l1i.pop_ready_fill(now) {
-            any = true;
-            let evicted =
-                self.cores[ci]
-                    .l1i
-                    .install(m.line, m.ip, m.is_prefetch, m.pf_class, m.dirty);
-            // Instruction lines are never written, so evictions can't be
-            // dirty and there is no writeback leg.
-            debug_assert!(evicted.is_none_or(|ev| !ev.dirty));
-            if !self.cores[ci].l1i_pf_noop {
-                let info = fill_info(now, &m, evicted);
-                self.cores[ci].l1i_pf.on_fill(&info);
-            }
+            let pf = match side {
+                L1::D => &mut core.l1d_pf,
+                L1::I => &mut core.l1i_pf,
+            };
+            pf.on_fill(&fill_info(now, &m, evicted));
         }
         any
     }
@@ -2420,7 +2088,7 @@ fn fill_info(now: Cycle, m: &Mshr, evicted: Option<crate::cache::Evicted>) -> Fi
 
 /// Boolean observability knob (`IPCP_SCHED_STATS`, `IPCP_PHASE_STATS`)
 /// with the env catalogue's semantics (empty, `0`, `false`, `off`, `no`
-/// mean disabled), read once at construction like `IPCP_DEBUG_PF`.
+/// mean disabled), read once at construction.
 fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| {
         !matches!(
@@ -2515,7 +2183,7 @@ pub fn weighted_speedup(together: &SimReport, alone_ipcs: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::prefetch::NoPrefetcher;
-    use ipcp_trace::VecTrace;
+    use ipcp_trace::{Instr, VecTrace};
 
     fn quick_cfg() -> SimConfig {
         SimConfig::default().with_instructions(2_000, 10_000)
@@ -2655,6 +2323,50 @@ mod tests {
         // Prefetches may land as timely fills or as late MSHR merges; both
         // count as useful.
         assert!(pf.cores[0].l1d.useful_prefetch_hits > 0);
+    }
+
+    /// An oracle-mode run of the sparse stream under NL-4, stepped until
+    /// `ready` holds; `corrupt` then damages one piece of wakeup state and
+    /// the run goes on, so a shadow check must trip before it finishes.
+    fn corrupt_oracle_run(ready: impl Fn(&System) -> bool, corrupt: impl FnOnce(&mut System)) {
+        let setup = CoreSetup::new(
+            sparse_stream_trace(),
+            Box::new(NextLinesL1(4)),
+            Box::new(NoPrefetcher),
+        );
+        let cfg = quick_cfg().without_fastpaths();
+        let mut sys = System::new(cfg, vec![setup], Box::new(NoPrefetcher));
+        while !ready(&sys) {
+            assert!(!sys.step(), "the run finished before the corruption point");
+        }
+        corrupt(&mut sys);
+        while !sys.step() {}
+    }
+
+    #[test]
+    #[should_panic(expected = "shadow check: prefetch queue")]
+    fn shadow_check_catches_dropped_pq_bit() {
+        corrupt_oracle_run(
+            |s| s.cores[0].l1d.pq_len() > 0,
+            |s| s.pq_active[0] &= !(1 << sched::pq_l1d(0)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "shadow check: core 0 sleeps")]
+    fn shadow_check_catches_late_wake() {
+        corrupt_oracle_run(|s| s.wake_at[0] > s.now + 1, |s| s.wake_at[0] += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "shadow check: calendar")]
+    fn shadow_check_catches_missed_calendar_arm() {
+        corrupt_oracle_run(
+            // Due in the very next executed cycle, before any allocation
+            // could re-arm the component from its heap minimum.
+            |s| s.cores[0].l1d.next_fill_time() == Some(s.now),
+            |s| s.cal.note(sched::comp_l1d(0), FILL_UNKNOWN),
+        );
     }
 
     #[test]

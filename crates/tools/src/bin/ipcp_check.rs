@@ -9,14 +9,15 @@
 //!    each emitted prefetch is validated (page bound, class bits, 9-bit
 //!    metadata, intra-trigger RR dedup, per-class degree ceiling).
 //! 3. **Oracle byte-compare**: each combo × replacement policy × trace is
-//!    run twice — once on the optimized fast paths, once with
-//!    `SimConfig::without_fastpaths` (no repeat-hit memo, no way
-//!    predictor, boxed replacement dispatch, no TLB memos, exhaustive
-//!    polling instead of the wakeup scheduler) — and the two serialized
-//!    reports (including interval samples) must be byte-identical. The
-//!    sweep covers single-core runs and 4-core `mc_mix`-shaped mixes
-//!    built from the fuzz corpus, so the scheduler's shared-LLC and
-//!    multi-core wakeup interleavings are under the same oracle. The
+//!    run twice — once with the fast arms on, once with
+//!    `SimConfig::without_fastpaths` (oracle mode: no repeat-hit memo, no
+//!    way predictor, boxed replacement dispatch, no TLB memos, no bulk
+//!    nop dispatch, plus per-cycle shadow checks of every wakeup-scheduler
+//!    skip decision) — and the two serialized reports (including interval
+//!    samples) must be byte-identical. The sweep covers single-core runs,
+//!    4-core `mc_mix`-shaped mixes built from the fuzz corpus, and one
+//!    32-core mix, so the scheduler's shared-LLC and multi-core wakeup
+//!    interleavings are under the same oracle at any width. The
 //!    default combo list includes the front-end placements (`fdip`,
 //!    `mana-ipcp`), which route ifetch through the full hook path and so
 //!    put the repeat-ifetch memo's noop gate under the oracle too; the
@@ -29,9 +30,9 @@
 //! ```
 //!
 //! `IPCP_SCALE=<warmup>,<instructions>` sets the run depth (default
-//! 100k + 400k; CI uses `2500,10000`). `IPCP_NO_FASTPATH=1` forces the
-//! naive path for the invariant sweep too, auditing the oracle
-//! configuration itself. Exits non-zero on any violation or mismatch.
+//! 100k + 400k; CI uses `2500,10000`). `IPCP_NO_FASTPATH=1` runs the
+//! invariant sweep in oracle mode too, auditing the oracle configuration
+//! (and its shadow checks) itself. Exits non-zero on any violation or mismatch.
 
 use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
 use ipcp_bench::combos;
@@ -156,7 +157,7 @@ fn invariant_sweep(cfg: &SimConfig, seeds: u64) -> u32 {
     failures
 }
 
-/// Byte-compares optimized vs naive runs per combo × policy × trace.
+/// Byte-compares arms-on vs oracle-mode runs per combo × policy × trace.
 fn oracle_sweep(cfg: &SimConfig, combo_names: &[String], seeds: u64) -> u32 {
     let mut failures = 0;
     let mut runs = 0;
@@ -196,23 +197,24 @@ fn oracle_sweep(cfg: &SimConfig, combo_names: &[String], seeds: u64) -> u32 {
     failures
 }
 
-/// Byte-compares optimized vs naive 4-core mix runs. Mixes are rotations
-/// of the adversarial fuzz corpus, shaped like the `mc_mix` benchmark:
-/// four cores with private IPCP L1/L2 prefetchers contending on a shared
-/// LLC. This is the configuration where the wakeup scheduler has the most
-/// interleaving freedom, so it gets its own oracle.
-fn mc_oracle_sweep(cfg: &SimConfig, seeds: u64) -> u32 {
-    const MIX_CORES: usize = 4;
+/// Byte-compares arms-on vs oracle-mode multi-core mix runs. Mixes are
+/// `mixes` rotations of the adversarial fuzz corpus over `cores` cores,
+/// shaped like the `mc_mix` benchmark: private IPCP L1/L2 prefetchers
+/// contending on a shared LLC. This is the configuration where the wakeup
+/// scheduler has the most interleaving freedom, so it gets its own
+/// oracle; a 32-core mix puts the fill components and prefetch queues
+/// past one 64-bit word.
+fn mc_oracle_sweep(cfg: &SimConfig, seeds: u64, cores: usize, mixes: usize) -> u32 {
     let traces = fuzz::corpus(0xc0ffee, seeds);
     let mut failures = 0;
     let mut runs = 0;
     // Rotate the corpus so every trace appears in several distinct mixes.
-    for start in 0..traces.len().min(MIX_CORES) {
-        let mix: Vec<&SynthTrace> = (0..MIX_CORES)
-            .map(|i| &traces[(start + i * (MIX_CORES + 1)) % traces.len()])
+    for start in 0..traces.len().min(mixes) {
+        let mix: Vec<&SynthTrace> = (0..cores)
+            .map(|i| &traces[(start + i * (cores + 1)) % traces.len()])
             .collect();
         let mc = |base: &SimConfig| {
-            let mut c = SimConfig::multicore(MIX_CORES as u32)
+            let mut c = SimConfig::multicore(cores as u32)
                 .with_instructions(base.warmup_instructions, base.sim_instructions);
             c.sample_interval = base.sample_interval;
             c.no_fastpath = base.no_fastpath;
@@ -256,7 +258,9 @@ fn mc_oracle_sweep(cfg: &SimConfig, seeds: u64) -> u32 {
             }
         }
     }
-    println!("mc oracle sweep: {runs} fast/naive 4-core pairs compared, {failures} mismatch(es)");
+    println!(
+        "mc oracle sweep: {runs} fast/naive {cores}-core pairs compared, {failures} mismatch(es)"
+    );
     failures
 }
 
@@ -313,7 +317,8 @@ fn main() {
             scfg.no_fastpath = cfg.no_fastpath;
             println!("oracle scale: warmup {} + {}", s.warmup, s.instructions);
             failures += oracle_sweep(&scfg, &combo_names, seeds);
-            failures += mc_oracle_sweep(&scfg, seeds);
+            failures += mc_oracle_sweep(&scfg, seeds, 4, 4);
+            failures += mc_oracle_sweep(&scfg, seeds, 32, 1);
         }
     }
     if failures > 0 {

@@ -49,10 +49,10 @@ fn run(
 ) -> SimReport {
     let mut cfg = SimConfig::default().with_instructions(warmup, instrs);
     cfg.sample_interval = interval;
-    // Oracle escape hatch: IPCP_NO_FASTPATH=1 runs on the naive slow paths
-    // (see ipcp_check) so any report can be reproduced without the
-    // scheduler fast paths in play. Parsed as a proper boolean through the
-    // typed env module ("0" used to enable it via a presence test).
+    // Oracle escape hatch: IPCP_NO_FASTPATH=1 runs in oracle mode (see
+    // ipcp_check) so any report can be reproduced with the fast arms off
+    // and the scheduler shadow-checked. Parsed as a proper boolean through
+    // the typed env module ("0" used to enable it via a presence test).
     cfg.no_fastpath = ipcp_bench::env::or_die(ipcp_bench::env::no_fastpath());
     let c = combos::build(combo);
     run_single(cfg, trace, c.l1, c.l2, c.llc)
