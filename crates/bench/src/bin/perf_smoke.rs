@@ -37,7 +37,7 @@
 //! full-sweep cache-off vs cache-warm wall-clock pair (measured
 //! externally, e.g. by `time`d `experiments` runs) into a `sweep` object
 //! without re-measuring throughput. Scale follows `IPCP_SCALE` exactly
-//! like the figure binaries; the committed file is generated at the
+//! like the figures; the committed file is generated at the
 //! default scale.
 
 use std::path::PathBuf;

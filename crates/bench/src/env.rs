@@ -47,7 +47,7 @@ pub struct Knob {
 pub const KNOBS: &[Knob] = &[
     Knob {
         name: "IPCP_JOBS",
-        summary: "worker threads for in-process job fan-out (positive integer; default: all cores; 1 = serial reference mode)",
+        summary: "simulation workers of the point pool (positive integer; default: all cores; 1 = serial reference mode)",
         check: || jobs().map(drop),
     },
     Knob {
@@ -74,11 +74,6 @@ pub const KNOBS: &[Knob] = &[
         name: "IPCP_SIMCACHE_DIR",
         summary: "simcache directory (default: target/simcache)",
         check: || simcache_dir().map(drop),
-    },
-    Knob {
-        name: "IPCP_SIMCACHE_STATS",
-        summary: "file to dump this process's simcache hit/miss/store counters into (`experiments` sets one per child)",
-        check: || raw("IPCP_SIMCACHE_STATS").map(drop),
     },
     Knob {
         name: "IPCP_MIXES",
@@ -318,8 +313,8 @@ pub fn phase_stats() -> Result<bool, EnvError> {
 }
 
 /// Runs every catalogued knob's typed parser over the live environment —
-/// what `experiments` calls before its first spawn, so a malformed value in
-/// any knob stops the sweep loudly instead of reaching some figures
+/// what `experiments` calls before any figure runs, so a malformed value
+/// in any knob stops the sweep loudly instead of reaching some figures
 /// unchecked.
 ///
 /// # Errors
@@ -419,7 +414,6 @@ mod tests {
             "IPCP_JSON",
             "IPCP_SIMCACHE",
             "IPCP_SIMCACHE_DIR",
-            "IPCP_SIMCACHE_STATS",
             "IPCP_MIXES",
             "IPCP_FE_FOOTPRINTS",
             "IPCP_INTERVAL",

@@ -6,11 +6,11 @@
 
 use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
 use ipcp_baselines::{spp_perceptron_dspatch, Bop, IpStride, Mlop, NextLine, Spp, Vldp};
-use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
+use crate::runner::{geomean, trace_major, Cell, Experiment, Table};
 use ipcp_sim::prefetch::{FillLevel, NoPrefetcher, Prefetcher};
 
-fn main() {
-    let mut exp = Experiment::new("ext_l2_complement");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
 
     type MakeL2 = fn() -> Box<dyn Prefetcher>;
@@ -30,19 +30,24 @@ fn main() {
         ("ipcp-l2", || Box::new(IpcpL2::new(IpcpConfig::default()))),
     ];
 
-    let mut geos = Vec::new();
-    for (name, mk) in &l2s {
-        let mut speeds = Vec::new();
-        for t in &traces {
-            let base = exp.baseline_ipc(t);
-            let r = exp.run_custom(
+    let runs = trace_major(&traces, &l2s, |(name, mk), t| {
+        (
+            exp.submit_baseline(t),
+            exp.submit_custom(
                 name,
                 t,
                 Box::new(IpcpL1::new(IpcpConfig::default())),
                 mk(),
                 Box::new(NoPrefetcher),
-            );
-            speeds.push(r.ipc() / base);
+            ),
+        )
+    });
+    let mut geos = Vec::new();
+    for ((name, _), runs) in l2s.iter().zip(runs) {
+        let mut speeds = Vec::new();
+        for (base, r) in runs {
+            let base = exp.take(base).ipc();
+            speeds.push(exp.take(r).ipc() / base);
         }
         geos.push((name.to_string(), geomean(&speeds)));
     }
@@ -64,5 +69,4 @@ fn main() {
     exp.note("       SPP+Perceptron+DSPatch being the best of them. Here the deltas");
     exp.note("       run a little larger (2-4 pts) but the ordering holds: SPP-combo");
     exp.note("       best generic, plain NL actively harmful, the rest marginal.");
-    exp.finish();
 }

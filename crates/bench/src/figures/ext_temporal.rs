@@ -9,7 +9,7 @@
 
 use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
 use ipcp_baselines::{Duo, IsbLite};
-use ipcp_bench::runner::{geomean, Cell, Experiment, RunScale, Table};
+use crate::runner::{geomean, Cell, Experiment, RunScale, Table};
 use ipcp_sim::prefetch::{NoPrefetcher, Prefetcher};
 use ipcp_trace::TraceSource;
 
@@ -17,8 +17,8 @@ fn ipcp_l1() -> Box<dyn Prefetcher> {
     Box::new(IpcpL1::new(IpcpConfig::default()))
 }
 
-fn main() {
-    let mut exp = Experiment::new("ext_temporal");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     // Temporal reuse only exists once the recorded sequence *repeats*, so
     // this experiment needs longer runs than the default harness scale and
     // traces whose temporal period fits inside them.
@@ -80,13 +80,21 @@ fn main() {
         &header,
     );
     let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    for t in &traces {
-        let base = exp.baseline_ipc(t);
+    let runs: Vec<_> = traces
+        .iter()
+        .map(|t| {
+            let custom = variants.iter().map(|(name, mk)| {
+                let (l1, l2) = mk();
+                exp.submit_custom(name, t, l1, l2, Box::new(NoPrefetcher))
+            });
+            (exp.submit_baseline(t), custom.collect::<Vec<_>>())
+        })
+        .collect();
+    for (t, (base, custom)) in traces.iter().zip(runs) {
+        let base = exp.take(base).ipc();
         let mut row = vec![Cell::text(t.name())];
-        for (vi, (name, mk)) in variants.iter().enumerate() {
-            let (l1, l2) = mk();
-            let r = exp.run_custom(name, t, l1, l2, Box::new(NoPrefetcher));
-            let sp = r.ipc() / base;
+        for (vi, r) in custom.into_iter().enumerate() {
+            let sp = exp.take(r).ipc() / base;
             per_variant[vi].push(sp);
             row.push(Cell::f3(sp));
         }
@@ -105,5 +113,4 @@ fn main() {
         "keeps those gains — at {} KB of metadata vs IPCP's 895 B.",
         IsbLite::l2_default().storage_bits() / 8 / 1024
     ));
-    exp.finish();
 }

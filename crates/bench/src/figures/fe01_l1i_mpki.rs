@@ -9,18 +9,16 @@
 //! `IPCP_FE_FOOTPRINTS` trims the fe-deep ladder (smallest footprint
 //! first) for quick runs; the hot/cold traces always run.
 
-use ipcp_bench::{
-    env,
-    runner::{Cell, Experiment, Table},
-};
+use crate::env;
+use crate::runner::{Cell, Experiment, Table};
 use ipcp_trace::TraceSource;
 use ipcp_workloads::frontend_suite;
 
 /// fe-deep ladder entries at the front of `frontend_suite()`.
 const LADDER: usize = 4;
 
-fn main() {
-    let mut exp = Experiment::new("fe01_l1i_mpki");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let keep = env::or_die(env::fe_footprints(LADDER)).min(LADDER);
     let traces: Vec<_> = frontend_suite()
         .into_iter()
@@ -40,11 +38,19 @@ fn main() {
             "IPC mana",
         ],
     );
-    for t in &traces {
+    let runs: Vec<Vec<_>> = traces
+        .iter()
+        .map(|t| {
+            ["none", "fdip", "mana"]
+                .map(|combo| exp.submit_combo(combo, t))
+                .into()
+        })
+        .collect();
+    for (t, tickets) in traces.iter().zip(runs) {
         let mut mpki = Vec::new();
         let mut ipc = Vec::new();
-        for combo in ["none", "fdip", "mana"] {
-            let r = exp.run_combo(combo, t);
+        for ticket in tickets {
+            let r = exp.take(ticket);
             let instr = r.cores[0].core.instructions;
             mpki.push(r.cores[0].l1i.demand_misses as f64 * 1000.0 / instr as f64);
             ipc.push(r.ipc());
@@ -61,5 +67,4 @@ fn main() {
     }
     exp.table(table);
     exp.note("multi-MB footprints swamp the L1-I; fdip, then mana, recover most of the misses.");
-    exp.finish();
 }

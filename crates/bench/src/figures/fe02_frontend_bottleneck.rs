@@ -8,14 +8,14 @@
 //! front end (the fdip column), and the data side only pays off once
 //! fetch stops being the bottleneck.
 
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::runner::{Cell, Experiment, Table};
 use ipcp_trace::TraceSource;
 use ipcp_workloads::frontend_suite;
 
 const TRACES: &[&str] = &["fe-deep-1m", "fe-deep-4m", "fe-hotcold-2m", "fe-hotcold-8m"];
 
-fn main() {
-    let mut exp = Experiment::new("fe02_frontend_bottleneck");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces: Vec<_> = frontend_suite()
         .into_iter()
         .filter(|t| TRACES.contains(&t.name()))
@@ -32,11 +32,20 @@ fn main() {
             "speedup (fe fed)",
         ],
     );
-    for t in &traces {
-        let base = exp.baseline_ipc(t);
-        let ipcp = exp.run_combo("ipcp", t).ipc();
-        let fdip = exp.run_combo("fdip", t).ipc();
-        let both = exp.run_combo("fdip-ipcp", t).ipc();
+    let runs: Vec<_> = traces
+        .iter()
+        .map(|t| {
+            (
+                exp.submit_baseline(t),
+                ["ipcp", "fdip", "fdip-ipcp"].map(|combo| exp.submit_combo(combo, t)),
+            )
+        })
+        .collect();
+    for (t, (base, [ipcp, fdip, both])) in traces.iter().zip(runs) {
+        let base = exp.take(base).ipc();
+        let ipcp = exp.take(ipcp).ipc();
+        let fdip = exp.take(fdip).ipc();
+        let both = exp.take(both).ipc();
         table.row(vec![
             Cell::text(t.name()),
             Cell::f3(base),
@@ -49,5 +58,4 @@ fn main() {
     }
     exp.table(table);
     exp.note("fetch stalls dominate: data-side MPKI wins barely move IPC on either front end.");
-    exp.finish();
 }

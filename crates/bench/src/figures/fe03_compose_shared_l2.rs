@@ -6,26 +6,30 @@
 //! for every step of the ladder none → fdip → ipcp → fdip-ipcp /
 //! mana-ipcp on traces with both instruction and data traffic.
 
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::runner::{Cell, Experiment, Table};
 use ipcp_trace::TraceSource;
 use ipcp_workloads::frontend_suite;
 
 const TRACES: &[&str] = &["fe-deep-1m", "fe-hotcold-2m"];
 const COMBOS: &[&str] = &["none", "fdip", "ipcp", "fdip-ipcp", "mana-ipcp"];
 
-fn main() {
-    let mut exp = Experiment::new("fe03_compose_shared_l2");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces: Vec<_> = frontend_suite()
         .into_iter()
         .filter(|t| TRACES.contains(&t.name()))
         .collect();
-    for t in &traces {
+    let runs: Vec<Vec<_>> = traces
+        .iter()
+        .map(|t| COMBOS.iter().map(|c| exp.submit_combo(c, t)).collect())
+        .collect();
+    for (t, tickets) in traces.iter().zip(runs) {
         let mut table = Table::new(
             format!("FE-3: front-end x data-side composition — {}", t.name()),
             &["combo", "IPC", "L1I MPKI", "L1D MPKI", "L2 MPKI"],
         );
-        for &combo in COMBOS {
-            let r = exp.run_combo(combo, t);
+        for (&combo, ticket) in COMBOS.iter().zip(tickets) {
+            let r = exp.take(ticket);
             let instr = r.cores[0].core.instructions as f64;
             let mpki = |m: u64| m as f64 * 1000.0 / instr;
             table.row(vec![
@@ -41,5 +45,4 @@ fn main() {
     exp.note(
         "sharing the L2/PQ does not cannibalize either side: the composed rows keep both wins.",
     );
-    exp.finish();
 }

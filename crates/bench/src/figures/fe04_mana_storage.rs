@@ -5,11 +5,11 @@
 //! Pins the MANA claim: the record table reaches FDIP-class coverage at
 //! several times less storage (asserted, like Table I's 895 B).
 
-use ipcp_bench::combos::build;
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::combos::build;
+use crate::runner::{Cell, Experiment, Table};
 
-fn main() {
-    let mut exp = Experiment::new("fe04_mana_storage");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let fdip = build("fdip").storage_bytes();
     let mut table = Table::new(
         "FE-4: front-end prefetcher storage (bytes)",
@@ -37,5 +37,4 @@ fn main() {
     exp.note(
         "mana reaches fdip-class reach at <= 1/4 the table storage; composition adds linearly.",
     );
-    exp.finish();
 }

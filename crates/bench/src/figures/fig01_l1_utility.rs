@@ -5,33 +5,35 @@
 //! placement; train-at-L1/fill-to-L2 narrows the gap to 3–7%; only one
 //! trace prefers L2 placement, and only marginally.
 
-use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
+use crate::runner::{geomean, trace_major, Cell, Experiment, Table};
 
-fn main() {
-    let mut exp = Experiment::new("fig01_l1_utility");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let mut table = Table::new(
         "Fig. 1: utility of L1-D prefetching (geomean speedups, memory-intensive suite)",
         &["prefetcher", "at L2", "train L1, fill L2", "at L1"],
     );
-    for pf in ["ip-stride", "mlop", "bingo"] {
-        let variants = [
-            format!("l2-{pf}"),
-            format!("l1fill2-{pf}"),
-            format!("l1-{pf}48"),
-        ];
+    let pfs = ["ip-stride", "mlop", "bingo"];
+    let runs = trace_major(&traces, &pfs, |pf, t| {
         // bingo's L1 registry name is l1-bingo48; the others match l1-<pf>.
-        let l1_name = if pf == "bingo" {
+        let l1_name = if *pf == "bingo" {
             "l1-bingo48".to_string()
         } else {
             format!("l1-{pf}")
         };
+        let variants = [format!("l2-{pf}"), format!("l1fill2-{pf}"), l1_name];
+        (
+            exp.submit_baseline(t),
+            variants.map(|name| exp.submit_combo(&name, t)),
+        )
+    });
+    for (pf, runs) in pfs.into_iter().zip(runs) {
         let mut speeds = [Vec::new(), Vec::new(), Vec::new()];
-        for t in &traces {
-            let base = exp.baseline_ipc(t);
-            for (i, name) in [&variants[0], &variants[1], &l1_name].iter().enumerate() {
-                let r = exp.run_combo(name, t);
-                speeds[i].push(r.ipc() / base);
+        for (base, variants) in runs {
+            let base = exp.take(base).ipc();
+            for (i, run) in variants.into_iter().enumerate() {
+                speeds[i].push(exp.take(run).ipc() / base);
             }
         }
         table.row(vec![
@@ -44,5 +46,4 @@ fn main() {
     exp.table(table);
     exp.note("paper: at-L1 beats at-L2 by 6–13 percentage points on average;");
     exp.note("       train-L1/fill-L2 closes the gap to 3–7 points.");
-    exp.finish();
 }

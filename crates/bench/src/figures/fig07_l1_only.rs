@@ -5,14 +5,13 @@
 //! (which needs 160× the storage); SPP/VLDP underperform at the L1 because
 //! they are designed for the L2's access stream.
 
-use ipcp_bench::combos::FIG7_COMBOS;
-use ipcp_bench::runner::Experiment;
+use crate::combos::FIG7_COMBOS;
+use crate::runner::Experiment;
 
-fn main() {
-    let mut exp = Experiment::new("fig07_l1_only");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     exp.speedup_comparison("Fig. 7: L1-only prefetchers", &traces, FIG7_COMBOS);
     exp.note("paper: IPCP best-or-second (Bingo-119KB comparable at 160x the storage);");
     exp.note("       SPP at L1 clearly below its L2 reputation.");
-    exp.finish();
 }

@@ -3,22 +3,25 @@
 //! Paper's shape: every combo removes most L2/LLC demand misses; IPCP's
 //! reductions are the largest at L2/LLC.
 
-use ipcp_bench::combos::TABLE3_COMBOS;
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::combos::TABLE3_COMBOS;
+use crate::runner::{trace_major, Cell, Experiment, Table};
 
-fn main() {
-    let mut exp = Experiment::new("fig09_mpki");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let mut table = Table::new(
         "Fig. 9: average demand-MPKI reduction (memory-intensive suite)",
         &["combo", "L1D", "L2", "LLC"],
     );
-    for &combo in TABLE3_COMBOS {
+    let runs = trace_major(&traces, TABLE3_COMBOS, |combo, t| {
+        (exp.submit_baseline(t), exp.submit_combo(combo, t))
+    });
+    for (&combo, runs) in TABLE3_COMBOS.iter().zip(runs) {
         let mut red = [0.0f64; 3];
         let mut n = 0.0;
-        for t in &traces {
+        for (base, run) in runs {
             let (b_l1, b_l2, b_llc, b_instr) = {
-                let b = exp.baseline(t);
+                let b = exp.take(base);
                 (
                     b.cores[0].l1d.demand_misses,
                     b.cores[0].l2.demand_misses,
@@ -26,7 +29,7 @@ fn main() {
                     b.cores[0].core.instructions,
                 )
             };
-            let r = exp.run_combo(combo, t);
+            let r = exp.take(run);
             let instr = r.cores[0].core.instructions;
             let pairs = [
                 (b_l1, r.cores[0].l1d.demand_misses),
@@ -51,5 +54,4 @@ fn main() {
     }
     exp.table(table);
     exp.note("paper: reductions grow down the hierarchy; IPCP at or near the top at L2/LLC.");
-    exp.finish();
 }

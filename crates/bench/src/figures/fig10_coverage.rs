@@ -3,27 +3,31 @@
 //! Paper's numbers: 60% at L1, 79.5% at L2, 83% at LLC on average, with
 //! near-zero coverage for the irregular (mcf/omnetpp-like) traces.
 
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::runner::{Cell, Experiment, Table};
 use ipcp_trace::TraceSource;
 
-fn main() {
-    let mut exp = Experiment::new("fig10_coverage");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let mut table = Table::new(
         "Fig. 10: demand misses covered by IPCP per level",
         &["trace", "L1D", "L2", "LLC"],
     );
     let mut avg = [0.0f64; 3];
-    for t in &traces {
+    let runs: Vec<_> = traces
+        .iter()
+        .map(|t| (exp.submit_baseline(t), exp.submit_combo("ipcp", t)))
+        .collect();
+    for (t, (base, run)) in traces.iter().zip(runs) {
         let (b_l1, b_l2, b_llc) = {
-            let b = exp.baseline(t);
+            let b = exp.take(base);
             (
                 b.cores[0].l1d.demand_misses,
                 b.cores[0].l2.demand_misses,
                 b.llc.demand_misses,
             )
         };
-        let r = exp.run_combo("ipcp", t);
+        let r = exp.take(run);
         let cov = |base: u64, now: u64| {
             if base == 0 {
                 0.0
@@ -62,5 +66,4 @@ fn main() {
     ]);
     exp.table(table);
     exp.note("paper: 60% / 79.5% / 83% average at L1/L2/LLC; ~0 for irregular traces.");
-    exp.finish();
 }

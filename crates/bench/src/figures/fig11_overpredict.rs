@@ -5,19 +5,23 @@
 //! mostly uncovered; over-prediction visible where GS trades accuracy for
 //! coverage.
 
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::runner::{Cell, Experiment, Table};
 use ipcp_trace::TraceSource;
 
-fn main() {
-    let mut exp = Experiment::new("fig11_overpredict");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let mut table = Table::new(
         "Fig. 11: IPCP at L1 — covered / uncovered / over-predicted",
         &["trace", "base misses", "covered", "uncovered", "overpred"],
     );
-    for t in &traces {
-        let base_misses = exp.baseline(t).cores[0].l1d.demand_misses;
-        let r = exp.run_combo("ipcp", t);
+    let runs: Vec<_> = traces
+        .iter()
+        .map(|t| (exp.submit_baseline(t), exp.submit_combo("ipcp", t)))
+        .collect();
+    for (t, (base, run)) in traces.iter().zip(runs) {
+        let base_misses = exp.take(base).cores[0].l1d.demand_misses;
+        let r = exp.take(run);
         let l1 = &r.cores[0].l1d;
         let covered = l1.useful_prefetch_hits;
         let uncovered = l1.demand_misses.saturating_sub(l1.late_prefetch_hits);
@@ -34,5 +38,4 @@ fn main() {
     exp.table(table);
     exp.note("paper: coverage dominates except for irregular traces; over-prediction");
     exp.note("       concentrated where the GS class trades accuracy for timeliness.");
-    exp.finish();
 }

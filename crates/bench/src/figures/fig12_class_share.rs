@@ -4,19 +4,20 @@
 //! Paper's shape: CS contributes ~46.7% and GS ~30% of covered misses on
 //! average; CPLX and NL pick up complex/irregular traces (mcf-like).
 
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::runner::{Cell, Experiment, Table};
 use ipcp_trace::TraceSource;
 
-fn main() {
-    let mut exp = Experiment::new("fig12_class_share");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let mut table = Table::new(
         "Fig. 12: class share of IPCP's L1 coverage",
         &["trace", "GS", "CS", "CPLX", "NL"],
     );
     let mut totals = [0u64; 4];
-    for t in &traces {
-        let r = exp.run_combo("ipcp", t);
+    let runs: Vec<_> = traces.iter().map(|t| exp.submit_combo("ipcp", t)).collect();
+    for (t, run) in traces.iter().zip(runs) {
+        let r = exp.take(run);
         let u = r.cores[0].l1d.useful_by_class; // [NL, CS, CPLX, GS]
         for i in 0..4 {
             totals[i] += u[i];
@@ -41,5 +42,4 @@ fn main() {
     exp.table(table);
     exp.note("paper: CS ~46.7% and GS ~30% overall; CPLX covers mcf-like complex strides;");
     exp.note("       NL contributes marginally, on irregular traces only.");
-    exp.finish();
 }

@@ -5,11 +5,11 @@
 //! a little; the L2 adds ~5 more points on top of the L1 bouquet.
 
 use ipcp::{IpClass, IpcpConfig, IpcpL1, IpcpL2};
-use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
+use crate::runner::{geomean, trace_major, Cell, Experiment, Table};
 use ipcp_sim::prefetch::NoPrefetcher;
 
-fn main() {
-    let mut exp = Experiment::new("fig13a_class_ablation");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let variants: Vec<(&str, IpcpConfig, bool)> = vec![
         ("CS only", IpcpConfig::with_only(&[IpClass::Cs]), false),
@@ -32,28 +32,32 @@ fn main() {
         "Fig. 13(a): class ablation (geomean speedup, memory-intensive suite)",
         &["variant", "speedup"],
     );
-    for (name, cfg, with_l2) in variants {
-        let mut speeds = Vec::new();
-        for t in &traces {
-            let base = exp.baseline_ipc(t);
-            let l2: Box<dyn ipcp_sim::prefetch::Prefetcher> = if with_l2 {
-                Box::new(IpcpL2::new(cfg.clone()))
-            } else {
-                Box::new(NoPrefetcher)
-            };
-            let r = exp.run_custom(
+    let runs = trace_major(&traces, &variants, |(name, cfg, with_l2), t| {
+        let l2: Box<dyn ipcp_sim::prefetch::Prefetcher> = if *with_l2 {
+            Box::new(IpcpL2::new(cfg.clone()))
+        } else {
+            Box::new(NoPrefetcher)
+        };
+        (
+            exp.submit_baseline(t),
+            exp.submit_custom(
                 name,
                 t,
                 Box::new(IpcpL1::new(cfg.clone())),
                 l2,
                 Box::new(NoPrefetcher),
-            );
-            speeds.push(r.ipc() / base);
+            ),
+        )
+    });
+    for ((name, ..), runs) in variants.into_iter().zip(runs) {
+        let mut speeds = Vec::new();
+        for (base, r) in runs {
+            let base = exp.take(base).ipc();
+            speeds.push(exp.take(r).ipc() / base);
         }
         table.row(vec![Cell::text(name), Cell::f3(geomean(&speeds))]);
     }
     exp.table(table);
     exp.note("paper: CS/CPLX strongest alone; GS weak alone but additive in the bouquet;");
     exp.note("       the full L1 bouquet beats every subset; L2 adds ~5 points more.");
-    exp.finish();
 }

@@ -4,11 +4,11 @@
 //! (temporal, not spatial, reuse — `classification` defeats everyone);
 //! the NN suite is stream-dominated and IPCP leads it.
 
-use ipcp_bench::combos::TABLE3_COMBOS;
-use ipcp_bench::runner::Experiment;
+use crate::combos::TABLE3_COMBOS;
+use crate::runner::Experiment;
 
-fn main() {
-    let mut exp = Experiment::new("fig14_cloud_nn");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let cloud = ipcp_workloads::cloud_suite();
     exp.speedup_comparison("Fig. 14(a): CloudSuite", &cloud, TABLE3_COMBOS);
     exp.note("paper: speedups compressed near 1.0x; classification gains nothing anywhere.");
@@ -16,5 +16,4 @@ fn main() {
     let nn = ipcp_workloads::nn_suite();
     exp.speedup_comparison("Fig. 14(b): CNNs/RNN", &nn, TABLE3_COMBOS);
     exp.note("paper: streaming tensor kernels: IPCP leads (up to ~2x on some nets).");
-    exp.finish();
 }

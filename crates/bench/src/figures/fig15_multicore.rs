@@ -6,33 +6,21 @@
 //! homogeneous memory-hog mixes (mcf-like) degrade for everyone, IPCP
 //! degrading least thanks to accuracy-driven throttling.
 //!
-//! The alone-IPC denominators are memoized in a shared
-//! [`AloneIpcCache`] (homogeneous mixes need each one only once, not once
-//! per core per mix), and both the cache warm-up and the mix runs fan out
-//! across `IPCP_JOBS` workers. Everything is deterministic, so the output
-//! is byte-identical for any worker count.
+//! Every mix run and every alone-IPC denominator is a pool point, and the
+//! whole figure goes to the pool as one batch: the pool runs each distinct
+//! alone point once (a homogeneous mix asks for the same one per core)
+//! and fans the batch out over its workers. Everything is deterministic,
+//! so the output is byte-identical for any worker count.
 
-use std::collections::HashSet;
-
-use ipcp_bench::combos::TABLE3_COMBOS;
-use ipcp_bench::harness::{jobs_from_env, parallel_map, run_mix_report, AloneIpcCache};
-use ipcp_bench::runner::{geomean, Cell, Experiment, RunScale, Table};
+use crate::combos::TABLE3_COMBOS;
+use crate::pool::Point;
+use crate::runner::{geomean, Cell, Experiment, RunScale, Table};
 use ipcp_sim::weighted_speedup;
 use ipcp_trace::TraceSource;
 use ipcp_workloads::SynthTrace;
 
-fn run_mix(mix: &[SynthTrace], combo: &str, scale: RunScale, alone: &AloneIpcCache) -> f64 {
-    let cores = mix.len() as u32;
-    let report = run_mix_report(mix, combo, scale);
-    let alone: Vec<f64> = mix
-        .iter()
-        .map(|t| alone.get(t, combo, cores, scale))
-        .collect();
-    weighted_speedup(&report, &alone) / f64::from(cores)
-}
-
-fn main() {
-    let mut exp = Experiment::new("fig15_multicore");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     // Multicore runs are ~4x the work per mix; trim the default.
     exp.default_scale(RunScale {
         warmup: 50_000,
@@ -78,7 +66,7 @@ fn main() {
     // Seeded random heterogeneous mixes (the paper runs 1000; scale with
     // IPCP_MIXES, default 4). Malformed values exit loudly — a typo must
     // not silently shrink the mix population.
-    let n_random: usize = ipcp_bench::env::or_die(ipcp_bench::env::mixes(4));
+    let n_random: usize = crate::env::or_die(crate::env::mixes(4));
     let mut rng_state = 0x1bc9_5eedu64;
     let mut next = move || {
         rng_state ^= rng_state << 13;
@@ -95,39 +83,30 @@ fn main() {
     // One 8-core sample.
     mixes.push(("homo8-bwaves-cs3".into(), vec![find("bwaves-cs3"); 8]));
 
-    let workers = jobs_from_env();
-    let alone = AloneIpcCache::new();
     let combos_with_base: Vec<&str> = std::iter::once("none")
         .chain(TABLE3_COMBOS.iter().copied())
         .collect();
 
-    // Phase 1: warm the alone-IPC cache over every unique (trace, combo,
-    // cores) key in parallel, so homogeneous mixes compute each
-    // denominator once instead of once per core.
-    let mut seen = HashSet::new();
-    let mut warm_jobs: Vec<(SynthTrace, &str, u32)> = Vec::new();
+    // Per (mix, combo): the mix run, then each core's alone run — one
+    // core on the mix's machine.
+    let mut points = Vec::new();
     for (_, mix) in &mixes {
         let cores = mix.len() as u32;
-        for t in mix {
-            for &combo in &combos_with_base {
-                if seen.insert((t.name().to_string(), combo, cores)) {
-                    warm_jobs.push((t.clone(), combo, cores));
-                }
-            }
+        for &combo in &combos_with_base {
+            points.push(Point::mix(combo, mix, scale));
+            points.extend(mix.iter().map(|t| Point::alone(combo, t, cores, scale)));
         }
     }
-    parallel_map(workers, warm_jobs, |(t, combo, cores)| {
-        alone.get(&t, combo, cores, scale)
-    });
-
-    // Phase 2: all (mix, combo) runs — including the per-mix "none"
-    // baselines — in parallel; alone-IPC lookups are now cache hits.
-    let mix_jobs: Vec<(usize, &str)> = (0..mixes.len())
-        .flat_map(|mi| combos_with_base.iter().map(move |&c| (mi, c)))
-        .collect();
-    let speedups = parallel_map(workers, mix_jobs, |(mi, combo)| {
-        run_mix(&mixes[mi].1, combo, scale, &alone)
-    });
+    let reports = exp.run_points(points);
+    let mut reports = reports.iter();
+    let mut speedups = Vec::new();
+    for (_, mix) in &mixes {
+        for _ in &combos_with_base {
+            let together = reports.next().expect("one report per point");
+            let alone: Vec<f64> = reports.by_ref().take(mix.len()).map(|r| r.ipc()).collect();
+            speedups.push(weighted_speedup(together, &alone) / mix.len() as f64);
+        }
+    }
 
     let per_mix = combos_with_base.len();
     let mut per_combo: std::collections::HashMap<String, Vec<f64>> = Default::default();
@@ -155,5 +134,4 @@ fn main() {
     exp.table(table);
     exp.note("paper: IPCP 23.4% average, Bingo 20.9%, MLOP 20%; mcf-heavy homogeneous");
     exp.note("       mixes degrade for every prefetcher, IPCP least.");
-    exp.finish();
 }

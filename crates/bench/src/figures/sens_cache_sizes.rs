@@ -4,10 +4,10 @@
 //! Paper's shape: IPCP's relative gain moves by at most ~1% across the
 //! size combinations; a tiny LLC costs everyone ~3 points of absolute gain.
 
-use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
+use crate::runner::{geomean, trace_major, Cell, Experiment, Table};
 
-fn main() {
-    let mut exp = Experiment::new("sens_cache_sizes");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let configs: Vec<(&str, u64, u64, u64)> = vec![
         ("L1 32K / L2 512K / LLC 2M", 32, 512, 2048),
@@ -22,26 +22,30 @@ fn main() {
         "Sensitivity: cache geometry (IPCP geomean speedup)",
         &["geometry", "speedup"],
     );
-    for (label, l1kb, l2kb, llckb) in configs {
+    let runs = trace_major(&traces, &configs, |&(_, l1kb, l2kb, llckb), t| {
+        let tweak = |cfg: &mut ipcp_sim::SimConfig| {
+            cfg.l1d.size_bytes = l1kb * 1024;
+            // Keep power-of-two set counts: 32 KB needs 8 ways.
+            if l1kb == 32 {
+                cfg.l1d.ways = 8;
+            }
+            cfg.l2.size_bytes = l2kb * 1024;
+            cfg.llc.size_bytes = llckb * 1024;
+        };
+        (
+            exp.submit_combo_with("none", t, tweak),
+            exp.submit_combo_with("ipcp", t, tweak),
+        )
+    });
+    for ((label, ..), runs) in configs.into_iter().zip(runs) {
         let mut speeds = Vec::new();
-        for t in &traces {
-            let tweak = |cfg: &mut ipcp_sim::SimConfig| {
-                cfg.l1d.size_bytes = l1kb * 1024;
-                // Keep power-of-two set counts: 32 KB needs 8 ways.
-                if l1kb == 32 {
-                    cfg.l1d.ways = 8;
-                }
-                cfg.l2.size_bytes = l2kb * 1024;
-                cfg.llc.size_bytes = llckb * 1024;
-            };
-            let base = exp.run_combo_with("none", t, tweak).ipc();
-            let r = exp.run_combo_with("ipcp", t, tweak);
-            speeds.push(r.ipc() / base);
+        for (base, r) in runs {
+            let base = exp.take(base).ipc();
+            speeds.push(exp.take(r).ipc() / base);
         }
         table.row(vec![Cell::text(label), Cell::f3(geomean(&speeds))]);
     }
     exp.table(table);
     exp.note("paper: at most ~1% relative movement; the 512 KB/core LLC costs ~3 points");
     exp.note("       of absolute improvement for every prefetcher.");
-    exp.finish();
 }

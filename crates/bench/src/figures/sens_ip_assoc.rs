@@ -7,40 +7,49 @@
 //! exactly the paper's "size the tables up only for outliers" advice.
 
 use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
-use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
+use crate::runner::{geomean, trace_major, Cell, Experiment, Table};
 use ipcp_sim::prefetch::NoPrefetcher;
 use ipcp_trace::TraceSource;
 
-fn main() {
-    let mut exp = Experiment::new("sens_ip_assoc");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let mut table = Table::new(
         "Sensitivity: IP-table capacity x associativity",
         &["IP table", "geomean", "cactu-bigip"],
     );
-    for (label, entries, ways) in [
+    let cases = [
         ("64 x 1 (paper)", 64usize, 1usize),
         ("256 x 4", 256, 4),
         ("1024 x 16", 1024, 16),
         ("4096 x 64", 4096, 64),
-    ] {
+    ]
+    .map(|(label, entries, ways)| {
         let cfg = IpcpConfig {
             ip_table_entries: entries,
             ip_table_ways: ways,
             ..IpcpConfig::default()
         };
-        let mut speeds = Vec::new();
-        let mut cactu = 1.0;
-        for t in &traces {
-            let base = exp.baseline_ipc(t);
-            let r = exp.run_custom(
+        (label, cfg)
+    });
+    let runs = trace_major(&traces, &cases, |(label, cfg), t| {
+        (
+            exp.submit_baseline(t),
+            exp.submit_custom(
                 label,
                 t,
                 Box::new(IpcpL1::new(cfg.clone())),
                 Box::new(IpcpL2::new(cfg.clone())),
                 Box::new(NoPrefetcher),
-            );
-            let sp = r.ipc() / base;
+            ),
+        )
+    });
+    for ((label, _), runs) in cases.into_iter().zip(runs) {
+        let mut speeds = Vec::new();
+        let mut cactu = 1.0;
+        for (t, (base, r)) in traces.iter().zip(runs) {
+            let base = exp.take(base).ipc();
+            let sp = exp.take(r).ipc() / base;
             speeds.push(sp);
             if t.name() == "cactu-bigip" {
                 cactu = sp;
@@ -55,5 +64,4 @@ fn main() {
     exp.table(table);
     exp.note("paper: only cactuBSSN-like IP churn wants a big associative table;");
     exp.note("       the suite average is already captured by 64 entries.");
-    exp.finish();
 }

@@ -5,18 +5,18 @@
 //! already captures the needed IPs (cactuBSSN-like outliers excepted).
 
 use ipcp::{IpcpConfig, IpcpL1, IpcpL2};
-use ipcp_bench::runner::{geomean, Cell, Experiment, Table};
+use crate::runner::{geomean, trace_major, Cell, Experiment, Table};
 use ipcp_sim::prefetch::NoPrefetcher;
 use ipcp_trace::TraceSource;
 
-fn main() {
-    let mut exp = Experiment::new("sens_tables");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let mut table = Table::new(
         "Sensitivity: IPCP table sizes (geomean + cactuBSSN-like outlier)",
         &["tables", "geomean", "cactu-bigip"],
     );
-    for (label, mult) in [("1x (paper)", 1usize), ("2x", 2), ("4x", 4), ("16x", 16)] {
+    let cases = [("1x (paper)", 1usize), ("2x", 2), ("4x", 4), ("16x", 16)].map(|(label, mult)| {
         let base_cfg = IpcpConfig::default();
         let cfg = IpcpConfig {
             ip_table_entries: base_cfg.ip_table_entries * mult,
@@ -24,18 +24,26 @@ fn main() {
             rst_entries: base_cfg.rst_entries * mult,
             ..base_cfg
         };
-        let mut speeds = Vec::new();
-        let mut cactu = 1.0;
-        for t in &traces {
-            let base = exp.baseline_ipc(t);
-            let r = exp.run_custom(
+        (label, cfg)
+    });
+    let runs = trace_major(&traces, &cases, |(label, cfg), t| {
+        (
+            exp.submit_baseline(t),
+            exp.submit_custom(
                 label,
                 t,
                 Box::new(IpcpL1::new(cfg.clone())),
                 Box::new(IpcpL2::new(cfg.clone())),
                 Box::new(NoPrefetcher),
-            );
-            let sp = r.ipc() / base;
+            ),
+        )
+    });
+    for ((label, _), runs) in cases.into_iter().zip(runs) {
+        let mut speeds = Vec::new();
+        let mut cactu = 1.0;
+        for (t, (base, r)) in traces.iter().zip(runs) {
+            let base = exp.take(base).ipc();
+            let sp = exp.take(r).ipc() / base;
             speeds.push(sp);
             if t.name() == "cactu-bigip" {
                 cactu = sp;
@@ -50,5 +58,4 @@ fn main() {
     exp.table(table);
     exp.note("paper: bigger tables buy ~0.7% on average; only huge-code-footprint");
     exp.note("       outliers (cactuBSSN) want a larger IP table.");
-    exp.finish();
 }

@@ -2,10 +2,10 @@
 //! same structural constants the implementation uses.
 
 use ipcp::{framework_bytes, l1_budget, l2_budget, IpcpConfig};
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::runner::{Cell, Experiment, Table};
 
-fn main() {
-    let mut exp = Experiment::new("table1_storage");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let cfg = IpcpConfig::default();
     let l1 = l1_budget(&cfg);
     let l2 = l2_budget(&cfg);
@@ -58,5 +58,4 @@ fn main() {
     assert_eq!(l2.total_bytes(), 155, "paper: 155 bytes at L2");
     assert_eq!(framework_bytes(&cfg), 895, "paper: 895 bytes total");
     exp.note("matches the paper exactly: 740 B (L1) + 155 B (L2) = 895 B.");
-    exp.finish();
 }

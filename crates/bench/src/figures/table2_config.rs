@@ -1,11 +1,11 @@
 //! Table II — Simulated system parameters (printed from the live config so
 //! documentation cannot drift from the implementation).
 
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::runner::{Cell, Experiment, Table};
 use ipcp_sim::SimConfig;
 
-fn main() {
-    let mut exp = Experiment::new("table2_config");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let c = SimConfig::default();
     let cache_row = |x: &ipcp_sim::CacheConfig| {
         format!(
@@ -53,5 +53,4 @@ fn main() {
         )),
     ]);
     exp.table(table);
-    exp.finish();
 }

@@ -1,11 +1,11 @@
 //! Table III — The multi-level prefetching combinations and their hardware
 //! budgets.
 
-use ipcp_bench::combos::{build, TABLE3_COMBOS};
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::combos::{build, TABLE3_COMBOS};
+use crate::runner::{Cell, Experiment, Table};
 
-fn main() {
-    let mut exp = Experiment::new("table3_combos");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let mut table = Table::new(
         "Table III: multi-level prefetching combinations",
         &["combo", "placement", "storage"],
@@ -29,5 +29,4 @@ fn main() {
     exp.table(table);
     exp.note("paper: IPCP = 895 B; rivals demand 10x-50x more (T-SKID-lite here is a");
     exp.note("       reduced stand-in; the real T-SKID spends >50 KB).");
-    exp.finish();
 }

@@ -3,31 +3,34 @@
 //! Paper: IPCP 0.60/0.79/0.83 coverage at L1/L2/LLC with 0.80 L1 accuracy;
 //! rivals cover less at L2/LLC or pay accuracy for coverage.
 
-use ipcp_bench::combos::TABLE3_COMBOS;
-use ipcp_bench::runner::{Cell, Experiment, Table};
+use crate::combos::TABLE3_COMBOS;
+use crate::runner::{trace_major, Cell, Experiment, Table};
 
-fn main() {
-    let mut exp = Experiment::new("table4_cov_acc");
+/// Runs the figure into `exp`.
+pub fn run(exp: &mut Experiment) {
     let traces = ipcp_workloads::memory_intensive_suite();
     let mut table = Table::new(
         "Table IV: coverage per level and prefetch accuracy",
         &["combo", "cov L1", "cov L2", "cov LLC", "accuracy"],
     );
-    for &combo in TABLE3_COMBOS {
+    let runs = trace_major(&traces, TABLE3_COMBOS, |combo, t| {
+        (exp.submit_baseline(t), exp.submit_combo(combo, t))
+    });
+    for (&combo, runs) in TABLE3_COMBOS.iter().zip(runs) {
         let mut cov = [0.0f64; 3];
         let mut acc_num = 0u64;
         let mut acc_den = 0u64;
         let mut n = 0.0;
-        for t in &traces {
+        for (base, run) in runs {
             let (b1, b2, b3) = {
-                let b = exp.baseline(t);
+                let b = exp.take(base);
                 (
                     b.cores[0].l1d.demand_misses,
                     b.cores[0].l2.demand_misses,
                     b.llc.demand_misses,
                 )
             };
-            let r = exp.run_combo(combo, t);
+            let r = exp.take(run);
             let c = |base: u64, miss: u64, late: u64| {
                 if base == 0 {
                     0.0
@@ -64,5 +67,4 @@ fn main() {
     exp.table(table);
     exp.note("paper: IPCP 0.60/0.79/0.83 coverage with 0.80 accuracy — the best");
     exp.note("       coverage-at-accuracy point of the five combinations.");
-    exp.finish();
 }

@@ -1,31 +1,31 @@
-//! Parallel experiment machinery: a scoped-thread worker pool that fans
-//! independent simulation jobs across cores, a memoized alone-IPC cache for
-//! multi-core weighted-speedup experiments, and structured JSON results.
+//! The sweep harness: runs a selection of registered figures in one
+//! process, one thread per figure, over one shared [`PointPool`], writes
+//! each figure's outputs, and records the sweep in a JSON manifest.
 //!
-//! Every simulation in this workspace is deterministic, so parallel and
-//! serial execution of the same job list produce identical results — the
-//! pool only changes wall-clock time, never output bytes. `IPCP_JOBS=1`
-//! forces serial execution (the reference mode for byte-identical
-//! comparisons); the default is one worker per available core.
+//! Every simulation in this workspace is deterministic, so the pool's
+//! width and the figures' interleaving only change wall-clock time, never
+//! output bytes. `IPCP_JOBS=1` runs every simulation on one worker (the
+//! reference mode for byte-identical comparisons); the default is one
+//! worker per available core. Threads: one per selected figure, plus the
+//! pool's `jobs` workers, plus the caller.
 //!
-//! No external dependencies: the pool is `std::thread::scope` (the crates
-//! registry is unreachable in CI sandboxes) and the JSON goes through the
-//! workspace's shared [`JsonValue`] serializer (`ipcp_sim::telemetry`).
+//! No external dependencies: the figure threads are `std::thread::scope`
+//! (the crates registry is unreachable in CI sandboxes) and the JSON goes
+//! through the workspace's shared [`JsonValue`] serializer
+//! (`ipcp_sim::telemetry`).
 
-use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use ipcp_sim::telemetry::JsonValue;
-use ipcp_sim::{CoreSetup, SimConfig, System};
-use ipcp_trace::TraceSource;
-use ipcp_workloads::SynthTrace;
 
-use crate::combos;
-use crate::runner::RunScale;
-use crate::simcache;
+use crate::figures::Figure;
+use crate::pool::{panic_message, PointPool, PointRecord, PoolStats};
+use crate::runner::Experiment;
+use crate::simcache::{self, CacheStatsSnapshot};
 
 // ---------------------------------------------------------------------
 // Worker pool
@@ -97,131 +97,147 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Alone-IPC cache
+// Running figures
 // ---------------------------------------------------------------------
 
-/// Cache key: (trace name, combo, cores, warmup, instructions).
-type AloneIpcKey = (String, String, u32, u64, u64);
-
-/// Memoized per-`(trace, combo, cores, scale)` single-core "alone" IPCs —
-/// the denominators of Section VI's weighted speedup. Multi-core figures
-/// reuse the same baselines across every mix containing a trace; without
-/// the cache `fig15_multicore` recomputes each one per mix per combo.
-///
-/// Shareable across worker threads (`&self` methods, internal mutex; the
-/// lock is never held across a simulation).
-#[derive(Debug, Default)]
-pub struct AloneIpcCache {
-    inner: Mutex<HashMap<AloneIpcKey, f64>>,
+/// Where a sweep writes: `<results>/<name>.txt` always, sidecars into
+/// `json` and per-table CSVs into `csv` when set.
+#[derive(Debug, Clone)]
+pub struct OutputDirs {
+    /// The results directory (text outputs, per-run JSON, manifest).
+    pub results: PathBuf,
+    /// The sidecar directory, or `None` to write no sidecars.
+    pub json: Option<PathBuf>,
+    /// The CSV directory, or `None` to write no CSVs.
+    pub csv: Option<PathBuf>,
 }
 
-impl AloneIpcCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of memoized entries (used by tests and reports).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache poisoned").len()
-    }
-
-    /// True when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The alone IPC of `trace` under `combo` on an `cores`-core machine
-    /// (single active core, multi-core LLC capacity and DRAM), memoized.
-    ///
-    /// Two threads racing on the same key may both simulate, but the runs
-    /// are deterministic so they insert the same value — correctness never
-    /// depends on winning the race.
-    pub fn get(&self, trace: &SynthTrace, combo: &str, cores: u32, scale: RunScale) -> f64 {
-        let key = (
-            trace.name().to_string(),
-            combo.to_string(),
-            cores,
-            scale.warmup,
-            scale.instructions,
-        );
-        if let Some(&ipc) = self.inner.lock().expect("cache poisoned").get(&key) {
-            return ipc;
+impl OutputDirs {
+    /// Sidecars into the results dir unless `IPCP_JSON` routes them
+    /// elsewhere (or, set empty, disables them); CSVs into `IPCP_CSV`.
+    pub fn from_env(results: &Path) -> Self {
+        let json = match crate::env::or_die(crate::env::raw("IPCP_JSON")) {
+            None => Some(results.to_path_buf()),
+            Some(dir) => Some(PathBuf::from(dir)).filter(|d| !d.as_os_str().is_empty()),
+        };
+        Self {
+            results: results.to_path_buf(),
+            json,
+            csv: crate::env::or_die(crate::env::csv_dir()),
         }
-        let ipc = alone_ipc_uncached(trace, combo, cores, scale);
-        self.inner.lock().expect("cache poisoned").insert(key, ipc);
-        ipc
     }
 }
 
-/// The uncached alone-IPC computation: "IPC_alone(i) is the IPC of core i
-/// when it runs alone on [the] N-core system" — one core, but the N-core
-/// LLC capacity and DRAM. ("Uncached" is relative to [`AloneIpcCache`]'s
-/// in-memory memoization; the run still goes through the on-disk
-/// [`crate::simcache`] layer, which keys on the effective config — the
-/// scaled LLC makes these entries distinct from plain single-core runs.)
-pub fn alone_ipc_uncached(trace: &SynthTrace, combo: &str, cores: u32, scale: RunScale) -> f64 {
-    let mut cfg = SimConfig::multicore(cores).with_instructions(scale.warmup, scale.instructions);
-    cfg.cores = 1;
-    cfg.llc.size_bytes *= u64::from(cores);
-    crate::simcache::get_or_run(&[trace.name()], combo, &cfg, || {
-        let c = combos::build(combo);
-        let mut sys = System::new(
-            cfg.clone(),
-            vec![CoreSetup::new(trace.handle(), c.l1, c.l2).with_l1i_prefetcher(c.l1i)],
-            c.llc,
-        );
-        sys.run()
-    })
-    .ipc()
-}
-
-/// Runs a multi-programmed mix (one trace per core) under a named combo,
-/// through the on-disk [`crate::simcache`] layer — the key carries every
-/// trace name in core order, so permuted mixes stay distinct.
-pub fn run_mix_report(mix: &[SynthTrace], combo: &str, scale: RunScale) -> ipcp_sim::SimReport {
-    let cores = mix.len() as u32;
-    let cfg = SimConfig::multicore(cores).with_instructions(scale.warmup, scale.instructions);
-    let names: Vec<&str> = mix.iter().map(TraceSource::name).collect();
-    crate::simcache::get_or_run(&names, combo, &cfg, || {
-        let setups = mix
-            .iter()
-            .map(|t| {
-                let c = combos::build(combo);
-                CoreSetup::new(t.handle(), c.l1, c.l2).with_l1i_prefetcher(c.l1i)
-            })
-            .collect();
-        let llc = combos::build(combo).llc;
-        let mut sys = System::new(cfg.clone(), setups, llc);
-        sys.run()
-    })
-}
-
-// ---------------------------------------------------------------------
-// Experiment subprocess jobs + JSON results
-// ---------------------------------------------------------------------
-
-/// Outcome of one experiment binary run by the driver.
+/// Outcome of one figure run by the harness.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
-    /// Experiment (and binary) name, e.g. `fig07_l1_only`.
+    /// Figure name, e.g. `fig07_l1_only`.
     pub name: String,
-    /// Process exit code (`None` when killed by a signal or not spawnable).
-    pub exit_code: Option<i32>,
-    /// True when the process exited successfully.
+    /// True when the figure ran to completion and its text was written.
     pub ok: bool,
     /// Wall-clock duration of the run.
     pub wall: Duration,
-    /// Where the captured text output was written.
+    /// Where the text output was written.
     pub output_path: PathBuf,
-    /// The JSON data sidecar the experiment emitted, if one exists.
+    /// The JSON data sidecar the figure wrote, if any.
     pub data_path: Option<PathBuf>,
-    /// Spawn-level error, if the binary could not be executed at all.
-    pub spawn_error: Option<String>,
-    /// The child's simulation-cache counters, when `IPCP_SIMCACHE` was on
-    /// (collected via a per-child `IPCP_SIMCACHE_STATS` file).
-    pub simcache: Option<simcache::CacheStatsSnapshot>,
+    /// Why the figure failed: its panic message or a write error.
+    pub error: Option<String>,
+    /// The disk-cache counters of the lookups this figure's requests
+    /// caused, when `IPCP_SIMCACHE` is on.
+    pub simcache: Option<CacheStatsSnapshot>,
 }
+
+/// Runs one figure on `pool` and writes its outputs. A panic anywhere in
+/// the figure (or in a simulation it waited for) fails this figure only:
+/// its `.txt` then holds the panic message.
+pub fn run_figure(fig: &Figure, pool: &Arc<PointPool>, out: &OutputDirs) -> ExperimentOutcome {
+    let started = Instant::now();
+    let output_path = out.results.join(format!("{}.txt", fig.name));
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let mut exp = Experiment::new(fig.name, Arc::clone(pool));
+        (fig.run)(&mut exp);
+        exp
+    }));
+    let (text, exp, mut error) = match ran {
+        Ok(exp) => (exp.render_text(), Some(exp), None),
+        Err(payload) => {
+            let msg = panic_message(payload.as_ref());
+            (format!("{} panicked: {msg}\n", fig.name), None, Some(msg))
+        }
+    };
+    if let Err(e) = std::fs::write(&output_path, text) {
+        error.get_or_insert(format!("writing {}: {e}", output_path.display()));
+    }
+    let mut data_path = None;
+    if let Some(exp) = &exp {
+        if let Some(dir) = &out.csv {
+            if let Err(e) = exp.write_csvs(dir) {
+                eprintln!("warning: could not write CSVs to {}: {e}", dir.display());
+            }
+        }
+        if let Some(dir) = &out.json {
+            match exp.write_sidecar(dir) {
+                Ok(path) => data_path = Some(path),
+                Err(e) => eprintln!(
+                    "warning: could not write {}.data.json to {}: {e}",
+                    fig.name,
+                    dir.display()
+                ),
+            }
+        }
+    }
+    let wall = started.elapsed();
+    let ok = error.is_none();
+    eprintln!(
+        "== {} {} ({:.1}s)",
+        fig.name,
+        if ok { "ok" } else { "FAILED" },
+        wall.as_secs_f64()
+    );
+    ExperimentOutcome {
+        name: fig.name.to_string(),
+        ok,
+        wall,
+        output_path,
+        data_path,
+        error,
+        simcache: simcache::global().map(|_| pool.simcache_for(fig.name)),
+    }
+}
+
+/// Runs `figures` concurrently, one thread each, over `pool`; outcomes
+/// come back in `figures` order.
+pub fn run_sweep(
+    figures: &[&Figure],
+    pool: &Arc<PointPool>,
+    out: &OutputDirs,
+) -> Vec<ExperimentOutcome> {
+    parallel_map(figures.len(), figures.to_vec(), |fig| {
+        run_figure(fig, pool, out)
+    })
+}
+
+/// The failure summary of a sweep (`None` when every figure succeeded).
+pub fn failure_summary(outcomes: &[ExperimentOutcome]) -> Option<String> {
+    let failed: Vec<String> = outcomes
+        .iter()
+        .filter(|o| !o.ok)
+        .map(|o| {
+            format!(
+                "  {}: {} (output: {})\n",
+                o.name,
+                o.error.as_deref().unwrap_or("failed"),
+                o.output_path.display()
+            )
+        })
+        .collect();
+    (!failed.is_empty()).then(|| format!("FAILURE SUMMARY:\n{}", failed.concat()))
+}
+
+// ---------------------------------------------------------------------
+// JSON results
+// ---------------------------------------------------------------------
 
 impl ExperimentOutcome {
     /// The outcome as a JSON object (the manifest entry and the per-run
@@ -230,15 +246,11 @@ impl ExperimentOutcome {
         let mut v = JsonValue::obj()
             .set("name", self.name.as_str())
             .set("ok", self.ok)
-            .set(
-                "exit_code",
-                self.exit_code.map_or(JsonValue::Null, JsonValue::from),
-            )
             .set("wall_secs", round3(self.wall.as_secs_f64()))
             .set("output", self.output_path.display().to_string())
             .set(
                 "error",
-                self.spawn_error
+                self.error
                     .as_deref()
                     .map_or(JsonValue::Null, JsonValue::from),
             );
@@ -246,16 +258,17 @@ impl ExperimentOutcome {
             v.insert("data", data.display().to_string());
         }
         if let Some(s) = &self.simcache {
-            v.insert(
-                "simcache",
-                JsonValue::obj()
-                    .set("hits", s.hits)
-                    .set("misses", s.misses)
-                    .set("stores", s.stores),
-            );
+            v.insert("simcache", cache_json(s));
         }
         v
     }
+}
+
+fn cache_json(s: &CacheStatsSnapshot) -> JsonValue {
+    JsonValue::obj()
+        .set("hits", s.hits)
+        .set("misses", s.misses)
+        .set("stores", s.stores)
 }
 
 /// Rounds to 3 decimals (the manifest's wall-clock precision).
@@ -263,65 +276,99 @@ fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
 }
 
+/// Everything a sweep's manifest records.
+#[derive(Debug, Clone)]
+pub struct SweepManifest<'a> {
+    /// Simulation workers.
+    pub jobs: usize,
+    /// The `IPCP_SCALE` spec, or `default`.
+    pub scale: &'a str,
+    /// Every catalogued knob that was set, with its value.
+    pub env: &'a [(&'a str, String)],
+    /// Wall-clock duration of the whole sweep.
+    pub total_wall: Duration,
+    /// One outcome per figure, in registry order.
+    pub outcomes: &'a [ExperimentOutcome],
+    /// The pool's request counters.
+    pub points: PoolStats,
+    /// One record per distinct keyed point.
+    pub point_log: &'a [PointRecord],
+    /// The disk cache's counters, when it is on.
+    pub simcache: Option<CacheStatsSnapshot>,
+}
+
 /// Writes one `<results_dir>/<name>.json` per outcome plus the
 /// `<results_dir>/manifest.json` machine-readable summary. Outcomes appear
 /// in the manifest in the given (deterministic) order.
 ///
-/// Schema 3: the sweep's provenance is recorded once, as a top-level
-/// `env` object mapping every catalogued `IPCP_*` knob that was set (see
-/// [`crate::env::set_knobs`]) to its value. Figure outputs (`.txt` /
-/// `.data.json`) are untouched by the schema; only this gitignored
-/// manifest layer carries it.
+/// Schema 4: the set knobs as a top-level `env` object; the pool's
+/// `points` counters (`requests == simulated + deduplicated`, plus
+/// `custom` runs); and a `point_log` with one entry per distinct keyed
+/// point — key hash, traces, combo, worker seconds, and every figure that
+/// asked for it. Figure outputs (`.txt` / `.data.json`) are untouched by
+/// the schema; only this gitignored manifest layer carries it.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from creating or writing the files.
-pub fn write_results_json(
-    results_dir: &Path,
-    jobs: usize,
-    scale_env: &str,
-    env: &[(&str, String)],
-    total_wall: Duration,
-    outcomes: &[ExperimentOutcome],
-) -> std::io::Result<()> {
+pub fn write_results_json(results_dir: &Path, m: &SweepManifest) -> std::io::Result<()> {
     std::fs::create_dir_all(results_dir)?;
-    for o in outcomes {
+    for o in m.outcomes {
         std::fs::write(
             results_dir.join(format!("{}.json", o.name)),
             o.to_json().to_json_string() + "\n",
         )?;
     }
+    let strs =
+        |v: &[String]| JsonValue::Arr(v.iter().map(|s| JsonValue::from(s.as_str())).collect());
     let mut manifest = JsonValue::obj()
-        .set("schema", 3i64)
+        .set("schema", 4i64)
         .set("generated_by", "experiments driver (ipcp-tools)")
-        .set("jobs", jobs)
-        .set("scale", scale_env)
+        .set("jobs", m.jobs)
+        .set("scale", m.scale)
         .set(
             "env",
             JsonValue::Obj(
-                env.iter()
+                m.env
+                    .iter()
                     .map(|(k, v)| (k.to_string(), JsonValue::from(v.as_str())))
                     .collect(),
             ),
         )
-        .set("total_wall_secs", round3(total_wall.as_secs_f64()))
-        .set("failed", outcomes.iter().filter(|o| !o.ok).count());
-    // Aggregate simulation-cache counters across the sweep, when any
-    // experiment reported them (CI asserts on these totals).
-    let stats: Vec<_> = outcomes.iter().filter_map(|o| o.simcache).collect();
-    if !stats.is_empty() {
-        manifest.insert(
-            "simcache",
-            JsonValue::obj()
-                .set("hits", stats.iter().map(|s| s.hits).sum::<u64>())
-                .set("misses", stats.iter().map(|s| s.misses).sum::<u64>())
-                .set("stores", stats.iter().map(|s| s.stores).sum::<u64>()),
-        );
+        .set("total_wall_secs", round3(m.total_wall.as_secs_f64()))
+        .set("failed", m.outcomes.iter().filter(|o| !o.ok).count());
+    if let Some(s) = &m.simcache {
+        manifest.insert("simcache", cache_json(s));
     }
-    let manifest = manifest.set(
-        "experiments",
-        JsonValue::Arr(outcomes.iter().map(ExperimentOutcome::to_json).collect()),
-    );
+    let manifest = manifest
+        .set(
+            "points",
+            JsonValue::obj()
+                .set("requests", m.points.requests)
+                .set("simulated", m.points.simulated)
+                .set("deduplicated", m.points.deduplicated)
+                .set("custom", m.points.custom),
+        )
+        .set(
+            "experiments",
+            JsonValue::Arr(m.outcomes.iter().map(ExperimentOutcome::to_json).collect()),
+        )
+        .set(
+            "point_log",
+            JsonValue::Arr(
+                m.point_log
+                    .iter()
+                    .map(|p| {
+                        JsonValue::obj()
+                            .set("hash", format!("{:016x}", p.hash))
+                            .set("traces", strs(&p.traces))
+                            .set("combo", p.combo.as_str())
+                            .set("wall_secs", round3(p.wall_secs))
+                            .set("figures", strs(&p.figures))
+                    })
+                    .collect(),
+            ),
+        );
     std::fs::write(
         results_dir.join("manifest.json"),
         manifest.to_pretty_string(),
@@ -331,7 +378,9 @@ pub fn write_results_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_combo;
+    use crate::pool::Point;
+    use crate::runner::{run_combo, RunScale};
+    use ipcp_workloads::SynthTrace;
 
     #[test]
     fn parse_jobs_accepts_positive_counts_only() {
@@ -380,6 +429,9 @@ mod tests {
         );
     }
 
+    /// Alone IPCs are keyed points: the pooled value equals a direct
+    /// run, a second request is a pool hit, and a different core count is
+    /// a different machine.
     #[test]
     fn alone_ipc_cache_matches_uncached_and_memoizes() {
         let traces = ipcp_workloads::memory_intensive_suite();
@@ -388,16 +440,27 @@ mod tests {
             warmup: 2_000,
             instructions: 10_000,
         };
-        let cache = AloneIpcCache::new();
-        let direct = alone_ipc_uncached(t, "none", 4, scale);
-        let via_cache = cache.get(t, "none", 4, scale);
-        assert_eq!(direct, via_cache, "cache must return the uncached value");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(t, "none", 4, scale), direct);
-        assert_eq!(cache.len(), 1, "second lookup is a hit, not a recompute");
-        // A different core count is a different machine — distinct entry.
-        let _ = cache.get(t, "none", 8, scale);
-        assert_eq!(cache.len(), 2);
+        let pool = PointPool::new(1);
+        let direct = Point::alone("none", t, 4, scale).simulate().ipc();
+        let via_pool = pool.run("f", Point::alone("none", t, 4, scale)).ipc();
+        assert_eq!(direct, via_pool, "the pool must return the direct value");
+        assert_eq!(pool.stats().simulated, 1);
+        assert_eq!(
+            pool.run("f", Point::alone("none", t, 4, scale)).ipc(),
+            direct
+        );
+        assert_eq!(
+            pool.stats().simulated,
+            1,
+            "second lookup is a hit, not a recompute"
+        );
+        let _ = pool.run("f", Point::alone("none", t, 8, scale));
+        assert_eq!(pool.stats().simulated, 2);
+        assert_ne!(
+            Point::alone("none", t, 4, scale).key(),
+            Point::single("none", t, scale, |_| {}).key(),
+            "an alone run is not a plain single-core run"
+        );
     }
 
     #[test]
@@ -407,11 +470,74 @@ mod tests {
             warmup: 2_000,
             instructions: 10_000,
         };
-        let cache = AloneIpcCache::new();
+        let pool = PointPool::new(2);
         let jobs: Vec<SynthTrace> = vec![traces[0].clone(); 4];
-        let ipcs = parallel_map(4, jobs, |t| cache.get(&t, "none", 4, scale));
+        let ipcs = parallel_map(4, jobs, |t| {
+            pool.run("f", Point::alone("none", &t, 4, scale)).ipc()
+        });
         assert!(ipcs.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(pool.stats().simulated, 1);
+    }
+
+    fn panics(_: &mut Experiment) {
+        panic!("planted failure");
+    }
+
+    /// A figure that panics fails alone: the manifest marks it, the other
+    /// figures' outputs are byte-correct, and the sweep reports failure.
+    #[test]
+    fn panicking_figure_fails_alone() {
+        let dir = std::env::temp_dir().join(format!("ipcp-harness-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = crate::figures::find("table1_storage").unwrap();
+        let bad = Figure {
+            name: "planted",
+            run: panics,
+        };
+        let pool = Arc::new(PointPool::new(1));
+        let out = OutputDirs {
+            results: dir.clone(),
+            json: Some(dir.clone()),
+            csv: None,
+        };
+        let outcomes = run_sweep(&[&bad, good], &pool, &out);
+        assert!(!outcomes[0].ok && outcomes[1].ok);
+        assert_eq!(outcomes[0].error.as_deref(), Some("planted failure"));
+        let summary = failure_summary(&outcomes).expect("a failure is summarized");
+        assert!(summary.starts_with("FAILURE SUMMARY:") && summary.contains("planted"));
+        assert!(!summary.contains("table1_storage"));
+        // The good figure's outputs are the committed ones, byte for byte.
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for suffix in [".txt", ".data.json"] {
+            let name = format!("table1_storage{suffix}");
+            assert_eq!(
+                std::fs::read(dir.join(&name)).unwrap(),
+                std::fs::read(golden.join(&name)).unwrap(),
+                "{name}"
+            );
+        }
+        let text = std::fs::read_to_string(dir.join("planted.txt")).unwrap();
+        assert_eq!(text, "planted panicked: planted failure\n");
+        assert!(!dir.join("planted.data.json").exists());
+        let manifest = SweepManifest {
+            jobs: 1,
+            scale: "default",
+            env: &[],
+            total_wall: Duration::from_secs(1),
+            outcomes: &outcomes,
+            points: pool.stats(),
+            point_log: &pool.point_log(),
+            simcache: None,
+        };
+        write_results_json(&dir, &manifest).unwrap();
+        let m =
+            JsonValue::parse(&std::fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap();
+        assert_eq!(m.get("failed").unwrap().as_u64(), Some(1));
+        let exps = m.get("experiments").unwrap().as_array().unwrap();
+        assert_eq!(exps[0].get("ok").unwrap().as_bool(), Some(false));
+        assert_eq!(exps[1].get("ok").unwrap().as_bool(), Some(true));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -421,13 +547,12 @@ mod tests {
         let outcomes = vec![
             ExperimentOutcome {
                 name: "fake_ok".into(),
-                exit_code: Some(0),
                 ok: true,
                 wall: Duration::from_millis(1234),
                 output_path: dir.join("fake_ok.txt"),
                 data_path: Some(dir.join("fake_ok.data.json")),
-                spawn_error: None,
-                simcache: Some(simcache::CacheStatsSnapshot {
+                error: None,
+                simcache: Some(CacheStatsSnapshot {
                     hits: 5,
                     misses: 2,
                     stores: 2,
@@ -435,34 +560,59 @@ mod tests {
             },
             ExperimentOutcome {
                 name: "fake_bad".into(),
-                exit_code: Some(101),
                 ok: false,
                 wall: Duration::from_millis(10),
                 output_path: dir.join("fake_bad.txt"),
                 data_path: None,
-                spawn_error: Some("boom \"quoted\"".into()),
-                simcache: None,
+                error: Some("boom \"quoted\"".into()),
+                simcache: Some(CacheStatsSnapshot::default()),
             },
         ];
         let env = [
             ("IPCP_SCALE", "2500,10000".to_string()),
             ("IPCP_JSON", String::new()),
         ];
-        write_results_json(&dir, 3, "default", &env, Duration::from_secs(2), &outcomes).unwrap();
+        let point_log = [PointRecord {
+            hash: 0xabc,
+            traces: vec!["t0".into(), "t1".into()],
+            combo: "ipcp".into(),
+            wall_secs: 0.25,
+            figures: vec!["fake_ok".into(), "fake_bad".into()],
+        }];
+        let manifest = SweepManifest {
+            jobs: 3,
+            scale: "default",
+            env: &env,
+            total_wall: Duration::from_secs(2),
+            outcomes: &outcomes,
+            points: PoolStats {
+                requests: 3,
+                simulated: 1,
+                deduplicated: 2,
+                custom: 4,
+                high_water: 1,
+            },
+            point_log: &point_log,
+            simcache: Some(CacheStatsSnapshot {
+                hits: 5,
+                misses: 2,
+                stores: 2,
+            }),
+        };
+        write_results_json(&dir, &manifest).unwrap();
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        // Substring shape of the schema-3 manifest.
-        assert!(manifest.contains("\"schema\": 3"));
+        // Substring shape of the schema-4 manifest.
+        assert!(manifest.contains("\"schema\": 4"));
         assert!(manifest.contains("\"jobs\": 3"));
         assert!(manifest.contains("\"failed\": 1"));
         assert!(manifest.contains("\"name\": \"fake_ok\""));
-        assert!(manifest.contains("\"exit_code\": 101"));
         let per_run = std::fs::read_to_string(dir.join("fake_ok.json")).unwrap();
         assert!(per_run.contains("\"ok\": true"));
         assert!(per_run.contains("\"wall_secs\": 1.234"));
         // Structural round-trip through the shared parser: the manifest is
         // well-formed JSON carrying the expected values, escapes included.
         let m = JsonValue::parse(&manifest).unwrap();
-        assert_eq!(m.get("schema").unwrap().as_u64(), Some(3));
+        assert_eq!(m.get("schema").unwrap().as_u64(), Some(4));
         assert_eq!(m.get("jobs").unwrap().as_u64(), Some(3));
         assert_eq!(m.get("scale").unwrap().as_str(), Some("default"));
         assert_eq!(m.get("total_wall_secs").unwrap().as_f64(), Some(2.0));
@@ -474,7 +624,15 @@ mod tests {
         assert_eq!(exps[0].get("name").unwrap().as_str(), Some("fake_ok"));
         let sc = exps[0].get("simcache").unwrap();
         assert_eq!(sc.get("stores").unwrap().as_u64(), Some(2));
-        assert!(exps[1].get("simcache").is_none());
+        assert_eq!(
+            exps[1]
+                .get("simcache")
+                .unwrap()
+                .get("hits")
+                .unwrap()
+                .as_u64(),
+            Some(0)
+        );
         assert_eq!(exps[0].get("wall_secs").unwrap().as_f64(), Some(1.234));
         assert!(exps[0].get("error").unwrap().is_null());
         assert!(exps[0].get("data").unwrap().as_str().is_some());
@@ -485,13 +643,34 @@ mod tests {
         );
         assert!(exps[1].get("data").is_none());
         let p = JsonValue::parse(&per_run).unwrap();
-        assert_eq!(p.get("exit_code").unwrap().as_u64(), Some(0));
-        // Schema-3 provenance: the set knobs, once, at the top level —
-        // an explicitly empty value survives as "".
+        assert_eq!(p.get("name").unwrap().as_str(), Some("fake_ok"));
+        // The set knobs, once, at the top level — an explicitly empty
+        // value survives as "".
         let env = m.get("env").unwrap();
         assert_eq!(env.get("IPCP_SCALE").unwrap().as_str(), Some("2500,10000"));
         assert_eq!(env.get("IPCP_JSON").unwrap().as_str(), Some(""));
         assert!(env.get("IPCP_JOBS").is_none());
+        // Schema 4: pool counters and per-point provenance.
+        let points = m.get("points").unwrap();
+        for (key, want) in [
+            ("requests", 3),
+            ("simulated", 1),
+            ("deduplicated", 2),
+            ("custom", 4),
+        ] {
+            assert_eq!(points.get(key).unwrap().as_u64(), Some(want), "{key}");
+        }
+        let log = m.get("point_log").unwrap().as_array().unwrap();
+        assert_eq!(log.len(), 1);
+        assert_eq!(
+            log[0].get("hash").unwrap().as_str(),
+            Some("0000000000000abc")
+        );
+        assert_eq!(log[0].get("combo").unwrap().as_str(), Some("ipcp"));
+        assert_eq!(log[0].get("wall_secs").unwrap().as_f64(), Some(0.25));
+        let figs = log[0].get("figures").unwrap().as_array().unwrap();
+        assert_eq!(figs[1].as_str(), Some("fake_bad"));
+        assert_eq!(log[0].get("traces").unwrap().as_array().unwrap().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

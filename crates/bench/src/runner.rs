@@ -1,18 +1,17 @@
-//! Shared experiment machinery for the figure/table binaries.
+//! Shared experiment machinery for the figures and tables.
 //!
-//! The centerpiece is the [`Experiment`] builder: a figure/table binary
-//! declares its name, runs simulations through the builder's helpers, and
-//! appends [`Table`]s and note lines. [`Experiment::finish`] then renders
-//! the same structure three ways:
+//! The centerpiece is the [`Experiment`] builder: a figure function
+//! ([`crate::figures`]) runs simulations through the builder's helpers —
+//! every one a request to the process's [`PointPool`] — and appends
+//! [`Table`]s and note lines. The harness then renders the same structure
+//! three ways:
 //!
-//! * **aligned text** on stdout (the historical, human-readable form —
-//!   byte-identical to the old per-binary `println!` output),
+//! * **aligned text** ([`Experiment::render_text`], the `.txt` output),
 //! * **CSV** per table when `IPCP_CSV=<dir>` is set,
-//! * a **JSON sidecar** (`<dir>/<name>.data.json`) when `IPCP_JSON=<dir>`
-//!   is set — schema below — carrying every table with *typed* cells plus
-//!   any interval time-series collected during the runs
-//!   (`IPCP_INTERVAL=<n>` enables the sampler for all runs made through
-//!   the builder).
+//! * a **JSON sidecar** (`<dir>/<name>.data.json`) — schema below —
+//!   carrying every table with *typed* cells plus any interval
+//!   time-series collected during the runs (`IPCP_INTERVAL=<n>` enables
+//!   the sampler for all runs made through the builder).
 //!
 //! Sidecar schema (`schema: 1`):
 //!
@@ -29,20 +28,21 @@
 //! }
 //! ```
 //!
-//! The free helpers (`run_combo`, `geomean`, `print_table`, `write_csv`,
-//! [`BaselineCache`]) remain available for tests and ad-hoc tools.
+//! The free helpers (`run_combo`, `geomean`, `print_table`, `write_csv`)
+//! remain available for tests and ad-hoc tools.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use ipcp_sim::prefetch::Prefetcher;
 use ipcp_sim::telemetry::{JsonValue, ToJson};
-use ipcp_sim::{run_single, run_single_with_l1i, SimConfig, SimReport};
+use ipcp_sim::{SimConfig, SimReport};
 use ipcp_trace::TraceSource;
 use ipcp_workloads::SynthTrace;
 
-use crate::combos;
+use crate::pool::{Point, PointPool};
 
 /// Warm-up / measured instruction counts for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,45 +159,28 @@ pub fn sample_interval_from_env() -> Option<u64> {
     crate::env::or_die(crate::env::interval())
 }
 
-/// Runs one trace under a named combo with an optional config tweak.
-/// `IPCP_INTERVAL` (if set) enables the interval sampler before the tweak
-/// runs, so tweaks can still override it.
-///
-/// Goes through the [`crate::simcache`] layer: with `IPCP_SIMCACHE=1` the
-/// run is answered from disk when an identical simulation (same trace,
-/// combo, and effective post-tweak config) already ran.
-pub fn run_combo_with(
-    combo: &str,
-    trace: &SynthTrace,
-    scale: RunScale,
-    tweak: impl FnOnce(&mut SimConfig),
-) -> SimReport {
-    let mut cfg = SimConfig::default().with_instructions(scale.warmup, scale.instructions);
-    cfg.sample_interval = sample_interval_from_env();
-    tweak(&mut cfg);
-    crate::simcache::get_or_run(&[trace.name()], combo, &cfg, || {
-        let c = combos::build(combo);
-        run_single_with_l1i(cfg.clone(), trace.handle(), c.l1i, c.l1, c.l2, c.llc)
-    })
-}
-
-/// Runs one trace under a named combo at the given scale.
+/// Runs one trace under a named combo at the given scale, on the calling
+/// thread (through the disk cache when `IPCP_SIMCACHE` is on).
 pub fn run_combo(combo: &str, trace: &SynthTrace, scale: RunScale) -> SimReport {
-    run_combo_with(combo, trace, scale, |_| {})
+    Point::single(combo, trace, scale, |_| {}).simulate()
 }
 
-/// Runs one trace under explicitly constructed prefetchers (for ablations
-/// that are not in the named-combo registry).
-pub fn run_custom(
-    trace: &SynthTrace,
-    scale: RunScale,
-    l1: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-    l2: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-    llc: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-) -> SimReport {
-    let mut cfg = SimConfig::default().with_instructions(scale.warmup, scale.instructions);
-    cfg.sample_interval = sample_interval_from_env();
-    run_single(cfg, trace.handle(), l1, l2, llc)
+/// Calls `submit` for every (case, trace) pair trace by trace — so a
+/// figure queues each trace's runs together and the pool builds that
+/// trace's memo once — and returns the results case by case:
+/// `out[case][trace]`.
+pub fn trace_major<C, T>(
+    traces: &[SynthTrace],
+    cases: &[C],
+    mut submit: impl FnMut(&C, &SynthTrace) -> T,
+) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = cases.iter().map(|_| Vec::new()).collect();
+    for t in traces {
+        for (case, runs) in cases.iter().zip(&mut out) {
+            runs.push(submit(case, t));
+        }
+    }
+    out
 }
 
 /// Geometric mean of a slice (1.0 for an empty slice).
@@ -206,36 +189,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
         return 1.0;
     }
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// A cache of per-trace baseline (no-prefetching) reports so figures that
-/// share traces do not re-run the baseline.
-#[derive(Default)]
-pub struct BaselineCache {
-    scale_key: Option<(u64, u64)>,
-    reports: HashMap<String, Arc<SimReport>>,
-}
-
-impl BaselineCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns (computing if needed) the baseline report for a trace.
-    /// The report is shared: cloning the returned `Arc` is free, so callers
-    /// that keep the baseline around don't copy counters or samples.
-    pub fn get(&mut self, trace: &SynthTrace, scale: RunScale) -> &Arc<SimReport> {
-        let key = (scale.warmup, scale.instructions);
-        if self.scale_key != Some(key) {
-            self.reports.clear();
-            self.scale_key = Some(key);
-        }
-        let name = trace.name().to_string();
-        self.reports
-            .entry(name)
-            .or_insert_with(|| Arc::new(run_combo("none", trace, scale)))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -455,26 +408,36 @@ struct SchedAgg {
     heap_peak: u64,
 }
 
-/// One figure/table experiment: owns the run scale, the baseline cache,
-/// and the ordered output (tables and notes), and renders everything on
-/// [`Experiment::finish`]. See the module docs for the three output forms.
+/// A run submitted through an [`Experiment`] and not yet taken: the
+/// pending report plus the series label it attaches under (`None` for a
+/// baseline).
+#[must_use = "a submitted run is only useful once taken"]
+pub struct Ticket {
+    pending: crate::pool::Pending,
+    label: Option<String>,
+}
+
+/// One figure/table experiment: owns the run scale, a handle to the point
+/// pool its simulations run on, and the ordered output (tables and
+/// notes). See the module docs for the three output forms.
 pub struct Experiment {
     name: String,
     scale: RunScale,
     /// The raw `IPCP_SCALE` spec, or `None` when the scale came from the
     /// default (possibly overridden by [`Experiment::default_scale`]).
     scale_spec: Option<String>,
-    baselines: BaselineCache,
+    pool: Arc<PointPool>,
     items: Vec<Item>,
     series: Vec<SeriesEntry>,
     sched: SchedAgg,
 }
 
 impl Experiment {
-    /// Starts an experiment, resolving the scale from `IPCP_SCALE`. On a
-    /// malformed value this prints the offending spec and exits with
-    /// status 2 — experiments must never silently run at the wrong scale.
-    pub fn new(name: &str) -> Self {
+    /// Starts an experiment on `pool`, resolving the scale from
+    /// `IPCP_SCALE`. On a malformed value this prints the offending spec
+    /// and exits with status 2 — experiments must never silently run at
+    /// the wrong scale.
+    pub fn new(name: &str, pool: Arc<PointPool>) -> Self {
         let (scale, scale_spec) = match RunScale::from_env() {
             Ok(s) => (s, std::env::var("IPCP_SCALE").ok()),
             Err(e) => {
@@ -482,28 +445,33 @@ impl Experiment {
                 std::process::exit(2);
             }
         };
-        Self::with_scale_spec(name, scale, scale_spec)
+        Self::with_scale_spec(name, scale, scale_spec, pool)
     }
 
     /// Starts an experiment at an explicit scale, ignoring the environment
     /// (used by tests).
-    pub fn with_scale(name: &str, scale: RunScale) -> Self {
-        Self::with_scale_spec(name, scale, None)
+    pub fn with_scale(name: &str, scale: RunScale, pool: Arc<PointPool>) -> Self {
+        Self::with_scale_spec(name, scale, None, pool)
     }
 
-    fn with_scale_spec(name: &str, scale: RunScale, scale_spec: Option<String>) -> Self {
+    fn with_scale_spec(
+        name: &str,
+        scale: RunScale,
+        scale_spec: Option<String>,
+        pool: Arc<PointPool>,
+    ) -> Self {
         Self {
             name: name.to_string(),
             scale,
             scale_spec,
-            baselines: BaselineCache::new(),
+            pool,
             items: Vec::new(),
             series: Vec::new(),
             sched: SchedAgg::default(),
         }
     }
 
-    /// The experiment name (binary name, sidecar stem).
+    /// The experiment name (registry name, output file stem).
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -525,48 +493,79 @@ impl Experiment {
 
     // -- running simulations ------------------------------------------
 
-    /// Runs `trace` under `combo` at the experiment scale, collecting any
-    /// interval series under the label `<trace>/<combo>`.
-    pub fn run_combo(&mut self, combo: &str, trace: &SynthTrace) -> SimReport {
-        self.run_combo_with(combo, trace, |_| {})
+    // A figure submits runs without waiting, so it can queue all of them
+    // — trace by trace, so each trace's memo is built once — before it
+    // reads the first one ([`Experiment::take`]).
+
+    /// Submits a run of `trace` under `combo` at the experiment scale; its
+    /// interval series attaches under the label `<trace>/<combo>`.
+    pub fn submit_combo(&self, combo: &str, trace: &SynthTrace) -> Ticket {
+        self.submit_combo_with(combo, trace, |_| {})
     }
 
-    /// [`Experiment::run_combo`] with a config tweak.
-    pub fn run_combo_with(
-        &mut self,
+    /// [`Experiment::submit_combo`] with a config tweak.
+    pub fn submit_combo_with(
+        &self,
         combo: &str,
         trace: &SynthTrace,
         tweak: impl FnOnce(&mut SimConfig),
-    ) -> SimReport {
-        let r = run_combo_with(combo, trace, self.scale, tweak);
-        self.attach_series(format!("{}/{combo}", trace.name()), &r);
-        r
+    ) -> Ticket {
+        Ticket {
+            pending: self
+                .pool
+                .submit(&self.name, Point::single(combo, trace, self.scale, tweak)),
+            label: Some(format!("{}/{combo}", trace.name())),
+        }
     }
 
-    /// Runs explicitly constructed prefetchers, labeling any series
-    /// `<trace>/<label>`.
-    pub fn run_custom(
-        &mut self,
+    /// Submits the no-prefetching baseline run of a trace: the `none`
+    /// point, shared with every other request for it. Unlike
+    /// [`Experiment::submit_combo`], it attaches no series.
+    pub fn submit_baseline(&self, trace: &SynthTrace) -> Ticket {
+        Ticket {
+            pending: self
+                .pool
+                .submit(&self.name, Point::single("none", trace, self.scale, |_| {})),
+            label: None,
+        }
+    }
+
+    /// Submits explicitly constructed prefetchers on `trace`; the series
+    /// attaches under `<trace>/<label>`. Custom runs are never
+    /// deduplicated.
+    pub fn submit_custom(
+        &self,
         label: &str,
         trace: &SynthTrace,
-        l1: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-        l2: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-        llc: Box<dyn ipcp_sim::prefetch::Prefetcher>,
-    ) -> SimReport {
-        let r = run_custom(trace, self.scale, l1, l2, llc);
-        self.attach_series(format!("{}/{label}", trace.name()), &r);
+        l1: Box<dyn Prefetcher>,
+        l2: Box<dyn Prefetcher>,
+        llc: Box<dyn Prefetcher>,
+    ) -> Ticket {
+        let mut cfg =
+            SimConfig::default().with_instructions(self.scale.warmup, self.scale.instructions);
+        cfg.sample_interval = sample_interval_from_env();
+        Ticket {
+            pending: self
+                .pool
+                .submit_custom(&self.name, trace, cfg, [l1, l2, llc]),
+            label: Some(format!("{}/{label}", trace.name())),
+        }
+    }
+
+    /// Waits for a submitted run and attaches its interval series (and
+    /// scheduler counters) to the experiment.
+    pub fn take(&mut self, ticket: Ticket) -> Arc<SimReport> {
+        let r = ticket.pending.wait();
+        if let Some(label) = ticket.label {
+            self.attach_series(label, &r);
+        }
         r
     }
 
-    /// The cached no-prefetching baseline report for a trace (a shared
-    /// handle — cloning it does not copy the report).
-    pub fn baseline(&mut self, trace: &SynthTrace) -> Arc<SimReport> {
-        Arc::clone(self.baselines.get(trace, self.scale))
-    }
-
-    /// The cached no-prefetching baseline IPC for a trace.
-    pub fn baseline_ipc(&mut self, trace: &SynthTrace) -> f64 {
-        self.baselines.get(trace, self.scale).ipc()
+    /// Runs keyed points as one batch over the pool's workers, reports in
+    /// input order (no series attached).
+    pub fn run_points(&self, points: Vec<Point>) -> Vec<Arc<SimReport>> {
+        self.pool.run_batch(&self.name, points)
     }
 
     /// Attaches a report's interval time-series (if any) to the sidecar
@@ -614,10 +613,10 @@ impl Experiment {
     /// Returns per-combo speedup lists in trace order.
     ///
     /// The (trace × combo) simulations — including the per-trace
-    /// baselines — are independent, so they fan out across `IPCP_JOBS`
-    /// workers through [`crate::harness::parallel_map`]. Results are
-    /// assembled in input order and every simulation is deterministic, so
-    /// the output is byte-identical for any worker count.
+    /// baselines — go to the pool as one batch, so they fan out over its
+    /// workers. Results are assembled in input order and every simulation
+    /// is deterministic, so the output is byte-identical for any worker
+    /// count.
     pub fn speedup_comparison(
         &mut self,
         title: &str,
@@ -625,22 +624,18 @@ impl Experiment {
         combo_names: &[&str],
     ) -> HashMap<String, Vec<f64>> {
         let scale = self.scale;
-        // One baseline job per trace, then one job per (trace, combo).
-        let mut jobs: Vec<(SynthTrace, String)> = Vec::new();
-        for trace in traces {
-            jobs.push((trace.clone(), "none".to_string()));
-            for &combo in combo_names {
-                jobs.push((trace.clone(), combo.to_string()));
-            }
-        }
-        let reports = crate::harness::parallel_map(
-            crate::harness::jobs_from_env(),
-            jobs.clone(),
-            |(t, c)| run_combo(&c, &t, scale),
-        );
-        for ((trace, combo), report) in jobs.iter().zip(&reports) {
-            self.attach_series(format!("{}/{combo}", trace.name()), report);
-        }
+        // One baseline run per trace, then one per (trace, combo), all
+        // queued before the first is read.
+        let tickets: Vec<Ticket> = traces
+            .iter()
+            .flat_map(|t| {
+                std::iter::once("none")
+                    .chain(combo_names.iter().copied())
+                    .map(move |c| (t, c))
+            })
+            .map(|(t, c)| self.submit_combo(c, t))
+            .collect();
+        let reports: Vec<Arc<SimReport>> = tickets.into_iter().map(|t| self.take(t)).collect();
         let mut results: HashMap<String, Vec<f64>> = HashMap::new();
         let mut columns = vec!["trace"];
         columns.extend_from_slice(combo_names);
@@ -805,29 +800,6 @@ impl Experiment {
         }
         Ok(())
     }
-
-    /// Renders everything: aligned text to stdout, CSVs when
-    /// `IPCP_CSV=<dir>` is set, the JSON sidecar when `IPCP_JSON=<dir>` is
-    /// set (an empty value disables it). Render failures on the CSV/JSON
-    /// side paths warn but do not fail the experiment.
-    pub fn finish(self) {
-        print!("{}", self.render_text());
-        crate::simcache::flush_stats();
-        if let Some(dir) = crate::env::or_die(crate::env::csv_dir()) {
-            if let Err(e) = self.write_csvs(&dir) {
-                eprintln!("warning: could not write CSVs to {}: {e}", dir.display());
-            }
-        }
-        if let Some(dir) = crate::env::or_die(crate::env::json_dir()) {
-            if let Err(e) = self.write_sidecar(&dir) {
-                eprintln!(
-                    "warning: could not write {}.data.json to {}: {e}",
-                    self.name,
-                    dir.display()
-                );
-            }
-        }
-    }
 }
 
 /// Writes a header + rows as CSV.
@@ -907,6 +879,12 @@ mod tests {
         }
     }
 
+    fn pool() -> Arc<PointPool> {
+        Arc::new(PointPool::new(1))
+    }
+
+    /// Baselines are `none` points: asking twice (or asking for the same
+    /// run under its combo name) reuses one simulation.
     #[test]
     fn baseline_cache_reuses() {
         let traces = ipcp_workloads::memory_intensive_suite();
@@ -915,10 +893,15 @@ mod tests {
             warmup: 5_000,
             instructions: 20_000,
         };
-        let mut cache = BaselineCache::new();
-        let a = cache.get(t, scale).ipc();
-        let b = cache.get(t, scale).ipc();
-        assert_eq!(a, b);
+        let pool = pool();
+        let mut exp = Experiment::with_scale("demo", scale, Arc::clone(&pool));
+        let a = exp.take(exp.submit_baseline(t));
+        let b = exp.take(exp.submit_baseline(t));
+        let c = exp.take(exp.submit_combo("none", t));
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &c));
+        assert_eq!(*a, run_combo("none", t, scale), "pooled = direct");
+        let stats = pool.stats();
+        assert_eq!((stats.requests, stats.simulated), (3, 1));
     }
 
     #[test]
@@ -949,7 +932,7 @@ mod tests {
 
     #[test]
     fn experiment_renders_items_in_order() {
-        let mut exp = Experiment::with_scale("demo", RunScale::default());
+        let mut exp = Experiment::with_scale("demo", RunScale::default(), pool());
         let mut t = Table::new("Demo table", &["trace", "x"]).subtitle("   (sub)");
         t.row(vec![Cell::text("a"), Cell::f3(1.5)]);
         exp.table(t);
@@ -970,6 +953,7 @@ mod tests {
                 warmup: 5_000,
                 instructions: 20_000,
             },
+            pool(),
         );
         let mut t = Table::new("Demo table", &["trace", "speedup", "count", "share"]);
         t.row(vec![
@@ -1007,7 +991,7 @@ mod tests {
     fn experiment_sidecar_writes_to_disk() {
         let dir = std::env::temp_dir().join(format!("ipcp-sidecar-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut exp = Experiment::with_scale("demo_exp", RunScale::default());
+        let mut exp = Experiment::with_scale("demo_exp", RunScale::default(), pool());
         exp.table(Table::new("T", &["a"]));
         let path = exp.write_sidecar(&dir).unwrap();
         assert_eq!(path, dir.join("demo_exp.data.json"));
@@ -1026,11 +1010,12 @@ mod tests {
                 warmup: 2_000,
                 instructions: 10_000,
             },
+            pool(),
         );
         // No IPCP_INTERVAL in the test env: enable sampling via the tweak.
-        let r = exp.run_combo_with("ipcp", &traces[0], |cfg| {
+        let r = exp.take(exp.submit_combo_with("ipcp", &traces[0], |cfg| {
             cfg.sample_interval = Some(2_000);
-        });
+        }));
         assert!(!r.samples.is_empty());
         let j = exp.sidecar_json();
         let series = j.get("series").unwrap().as_array().unwrap();
@@ -1055,6 +1040,7 @@ mod tests {
                 instructions: 2,
             },
             Some("1,2".into()),
+            pool(),
         );
         exp.default_scale(RunScale::PAPER);
         assert_eq!(
@@ -1065,7 +1051,7 @@ mod tests {
             },
             "explicit IPCP_SCALE wins over an experiment default"
         );
-        let mut exp = Experiment::with_scale("demo", RunScale::default());
+        let mut exp = Experiment::with_scale("demo", RunScale::default(), pool());
         exp.default_scale(RunScale::PAPER);
         assert_eq!(exp.scale(), RunScale::PAPER);
     }

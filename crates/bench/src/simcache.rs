@@ -2,11 +2,10 @@
 //!
 //! Every simulation in this workspace is deterministic: a [`SimReport`] is
 //! a pure function of (traces, prefetcher combo, effective [`SimConfig`],
-//! simulator code). Different figure binaries — and re-runs of the same
-//! sweep — therefore repeat identical simulations; the 23-binary default
-//! sweep shares per-trace baselines, alone-IPC denominators, and whole
-//! combo runs across experiments. This module memoizes those runs on disk
-//! so a warm sweep replays them instead of re-simulating.
+//! simulator code). Re-runs of the same sweep therefore repeat identical
+//! simulations. This module memoizes those runs on disk so a warm sweep
+//! replays them instead of re-simulating. The same key also names a point
+//! in the in-process pool ([`crate::pool`]) and its manifest record.
 //!
 //! **Key scheme.** A cache key is the plain string
 //!
@@ -34,10 +33,11 @@
 //! **Knobs.** The cache is *off* by default (experiments re-simulate,
 //! exactly as before). `IPCP_SIMCACHE=1` (or `true`/`on`/`yes`) enables
 //! it; `IPCP_SIMCACHE_DIR=<dir>` overrides the default `target/simcache`
-//! location. When enabled and `IPCP_SIMCACHE_STATS=<file>` is set,
-//! [`flush_stats`] (called by `Experiment::finish`) writes this process's
-//! hit/miss/store counters there — the `experiments` driver points each
-//! child at a per-experiment file and folds the numbers into its manifest.
+//! location. It sits behind the in-process point pool ([`crate::pool`]),
+//! which already runs each distinct point once per process: the disk
+//! cache only pays off across processes (a warm re-run of a sweep). The
+//! `experiments` driver reads the global cache's counters for its
+//! manifest, and the pool credits each lookup to the figure that asked.
 //!
 //! Corrupt or unreadable entries are *loud*: a warning naming the file and
 //! the parse error goes to stderr, then the run recomputes (and rewrites
@@ -143,12 +143,26 @@ impl SimCache {
         cfg: &SimConfig,
         run: impl FnOnce() -> SimReport,
     ) -> SimReport {
+        self.get_or_run_counted(trace_names, combo, cfg, run).0
+    }
+
+    /// [`SimCache::get_or_run`], plus the counters this one call added
+    /// (so a caller can credit them to whoever asked).
+    pub fn get_or_run_counted(
+        &self,
+        trace_names: &[&str],
+        combo: &str,
+        cfg: &SimConfig,
+        run: impl FnOnce() -> SimReport,
+    ) -> (SimReport, CacheStatsSnapshot) {
         let key = cache_key(trace_names, combo, cfg);
         let path = self.entry_path(&key);
+        let mut delta = CacheStatsSnapshot::default();
         match self.load_report(&path, &key) {
             Ok(Some(report)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return report;
+                delta.hits = 1;
+                return (report, delta);
             }
             Ok(None) => {}
             Err(e) => {
@@ -159,10 +173,12 @@ impl SimCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
+        delta.misses = 1;
         let report = run();
         match self.store_report(&path, &key, &report) {
             Ok(()) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
+                delta.stores = 1;
             }
             Err(e) => {
                 eprintln!(
@@ -171,7 +187,7 @@ impl SimCache {
                 );
             }
         }
-        report
+        (report, delta)
     }
 
     /// Loads the report of an entry. `Ok(None)` means "no entry" (a clean
@@ -239,7 +255,7 @@ impl SimCache {
 
 /// `Some(cache)` when `IPCP_SIMCACHE` enables caching for this process,
 /// `None` otherwise. Resolved once; changing the environment afterwards
-/// has no effect (experiment binaries read it at the first simulation).
+/// has no effect (it is read at the first simulation).
 /// Parsed through the consolidated [`crate::env`] module: a malformed
 /// `IPCP_SIMCACHE` value exits loudly instead of silently disabling the
 /// cache (the pre-consolidation behavior).
@@ -257,41 +273,18 @@ pub fn global() -> Option<&'static SimCache> {
         .as_ref()
 }
 
-/// [`SimCache::get_or_run`] against the process-global cache, or a plain
-/// `run()` when caching is disabled — the one call every cacheable
-/// simulation path goes through.
+/// [`SimCache::get_or_run_counted`] against the process-global cache, or
+/// a plain `run()` with zero counters when caching is disabled — the one
+/// call every cacheable simulation goes through.
 pub fn get_or_run(
     trace_names: &[&str],
     combo: &str,
     cfg: &SimConfig,
     run: impl FnOnce() -> SimReport,
-) -> SimReport {
+) -> (SimReport, CacheStatsSnapshot) {
     match global() {
-        Some(cache) => cache.get_or_run(trace_names, combo, cfg, run),
-        None => run(),
-    }
-}
-
-/// When the global cache is enabled and `IPCP_SIMCACHE_STATS=<file>` is
-/// set, writes this process's counters there as a small JSON document
-/// (`{"schema": 1, "hits": ..., "misses": ..., "stores": ...}`). Failures
-/// warn on stderr; statistics must never fail an experiment.
-pub fn flush_stats() {
-    let Some(cache) = global() else { return };
-    let Some(path) = std::env::var_os("IPCP_SIMCACHE_STATS").filter(|v| !v.is_empty()) else {
-        return;
-    };
-    let s = cache.stats();
-    let doc = JsonValue::obj()
-        .set("schema", 1u64)
-        .set("hits", s.hits)
-        .set("misses", s.misses)
-        .set("stores", s.stores);
-    if let Err(e) = std::fs::write(&path, doc.to_json_string() + "\n") {
-        eprintln!(
-            "warning: simcache: could not write stats to {}: {e}",
-            PathBuf::from(&path).display()
-        );
+        Some(cache) => cache.get_or_run_counted(trace_names, combo, cfg, run),
+        None => (run(), CacheStatsSnapshot::default()),
     }
 }
 

@@ -1,24 +1,23 @@
-//! Parallel experiment driver: regenerates every figure and table of the
-//! paper into `results/`, replacing the serial `run_all_experiments.sh`
-//! loop.
+//! Experiment driver: regenerates every figure and table of the paper into
+//! `results/`, in one process.
 //!
 //! Every `IPCP_*` knob is validated loudly up front — a typo in any knob
 //! stops the sweep with exit 2 before the first figure runs. The selected
-//! figures then fan out across an `IPCP_JOBS`-sized worker pool (default:
-//! one worker per core); each worker runs one figure binary at a time
-//! through [`jobspec::execute`], which passes this process's environment
-//! through unchanged, and captures its output to `results/<name>.txt`.
-//! Structured JSON results go to `results/<name>.json` per run plus a
-//! schema-3 `results/manifest.json` with wall times, exit statuses, and
-//! the set knobs as a top-level `env` object. Unless the caller already
-//! set `IPCP_JSON`, it is routed to the results dir so every figure also
-//! drops its machine-readable sidecar at `results/<name>.data.json`.
-//! The per-experiment text outputs are byte-identical to a serial
-//! (`IPCP_JOBS=1`) run: every simulation is deterministic and each binary
-//! owns its output file exclusively.
+//! figures ([`ipcp_bench::figures`]) then run one thread each, and every
+//! simulation they ask for goes through one shared point pool of
+//! `IPCP_JOBS` workers (default: one per core), which runs each distinct
+//! point once however many figures ask for it. Each figure's text goes to
+//! `results/<name>.txt` and its sidecar to `results/<name>.data.json`
+//! (`IPCP_JSON` routes sidecars elsewhere; set empty, it disables them).
+//! Structured JSON results go to `results/<name>.json` per figure plus a
+//! schema-4 `results/manifest.json`: wall times, the set knobs, the pool's
+//! request counters and one provenance record per distinct point. The
+//! outputs are byte-identical for any `IPCP_JOBS`: every simulation is
+//! deterministic and each figure owns its output files.
 //!
-//! Exit status: non-zero when any experiment fails, with a failure summary
-//! on stderr — silent failures are a bug class of their own.
+//! Exit status: 1 when any figure fails (a panic fails that figure only),
+//! with a failure summary on stderr — silent failures are a bug class of
+//! their own.
 //!
 //! Usage:
 //!   experiments [name ...] [--jobs N] [--results-dir DIR] [--list]
@@ -28,17 +27,20 @@
 //! error). `--list-env` dumps every `IPCP_*` knob with its current value.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
-use ipcp_bench::jobspec::{self, EXPERIMENTS};
-use ipcp_bench::{env, harness};
+use ipcp_bench::figures::{self, Figure, FIGURES};
+use ipcp_bench::harness::{self, OutputDirs, SweepManifest};
+use ipcp_bench::pool::PointPool;
+use ipcp_bench::{env, simcache};
 use ipcp_tools::Args;
 
 fn main() {
     let args = Args::parse();
     if args.has_flag("list") {
-        for name in EXPERIMENTS {
-            println!("{name}");
+        for fig in FIGURES {
+            println!("{}", fig.name);
         }
         return;
     }
@@ -49,19 +51,18 @@ fn main() {
 
     env::or_die(env::validate_all());
 
-    let selected: Vec<&str> = if args.positional.is_empty() {
-        EXPERIMENTS.to_vec()
+    let selected: Vec<&Figure> = if args.positional.is_empty() {
+        FIGURES.iter().collect()
     } else {
         for name in &args.positional {
             assert!(
-                EXPERIMENTS.contains(&name.as_str()),
+                figures::find(name).is_some(),
                 "unknown experiment {name:?}; see --list"
             );
         }
-        EXPERIMENTS
+        FIGURES
             .iter()
-            .copied()
-            .filter(|e| args.positional.iter().any(|p| p == e))
+            .filter(|f| args.positional.iter().any(|p| p == f.name))
             .collect()
     };
 
@@ -74,82 +75,49 @@ fn main() {
     );
     std::fs::create_dir_all(&results_dir).expect("cannot create results dir");
 
-    // Experiment binaries live next to this driver (target/<profile>/).
-    let bin_dir = std::env::current_exe()
-        .expect("cannot locate current executable")
-        .parent()
-        .expect("executable has a parent directory")
-        .to_path_buf();
-    // Fail fast: a missing binary means a broken build, not 22 good
-    // experiments and one silent hole.
-    for name in &selected {
-        let p = bin_dir.join(name);
-        assert!(
-            p.exists(),
-            "experiment binary missing: {} (build ipcp-bench first)",
-            p.display()
-        );
-    }
-
     let scale_env = std::env::var("IPCP_SCALE").unwrap_or_else(|_| "default".to_string());
     eprintln!(
-        "running {} experiment(s) on {} worker(s) (IPCP_JOBS), scale {scale_env} -> {}",
+        "running {} experiment(s) on {} simulation worker(s) (IPCP_JOBS), scale {scale_env} -> {}",
         selected.len(),
         jobs,
         results_dir.display()
     );
 
+    let pool = Arc::new(PointPool::new(jobs));
     let started = Instant::now();
-    let outcomes = harness::parallel_map(jobs, selected, |name| {
-        let o = jobspec::execute(name, &bin_dir, &results_dir);
-        if o.ok {
-            eprintln!("== {} ok ({:.1}s)", o.name, o.wall.as_secs_f64());
-        } else {
-            eprintln!("== {} FAILED ({:.1}s)", o.name, o.wall.as_secs_f64());
-        }
-        o
-    });
+    let outcomes = harness::run_sweep(&selected, &pool, &OutputDirs::from_env(&results_dir));
     let total_wall = started.elapsed();
 
+    let points = pool.stats();
     harness::write_results_json(
         &results_dir,
-        jobs,
-        &scale_env,
-        &env::set_knobs(),
-        total_wall,
-        &outcomes,
+        &SweepManifest {
+            jobs,
+            scale: &scale_env,
+            env: &env::set_knobs(),
+            total_wall,
+            outcomes: &outcomes,
+            points,
+            point_log: &pool.point_log(),
+            simcache: simcache::global().map(simcache::SimCache::stats),
+        },
     )
     .expect("cannot write JSON results");
 
-    let failed: Vec<_> = outcomes.iter().filter(|o| !o.ok).collect();
+    let failed = outcomes.iter().filter(|o| !o.ok).count();
     eprintln!(
-        "{}/{} experiments ok in {:.1}s (manifest: {})",
-        outcomes.len() - failed.len(),
+        "{}/{} experiments ok in {:.1}s; {} point requests, {} simulated, {} deduplicated, {} custom (manifest: {})",
+        outcomes.len() - failed,
         outcomes.len(),
         total_wall.as_secs_f64(),
+        points.requests,
+        points.simulated,
+        points.deduplicated,
+        points.custom,
         results_dir.join("manifest.json").display()
     );
-    if !failed.is_empty() {
-        eprintln!("FAILURE SUMMARY:");
-        for o in &failed {
-            match (&o.spawn_error, o.exit_code) {
-                (Some(e), _) => eprintln!("  {}: {e}", o.name),
-                (None, Some(code)) => {
-                    eprintln!(
-                        "  {}: exit code {code} (output: {})",
-                        o.name,
-                        o.output_path.display()
-                    );
-                }
-                (None, None) => {
-                    eprintln!(
-                        "  {}: killed by signal (output: {})",
-                        o.name,
-                        o.output_path.display()
-                    );
-                }
-            }
-        }
+    if let Some(summary) = harness::failure_summary(&outcomes) {
+        eprint!("{summary}");
         std::process::exit(1);
     }
 }

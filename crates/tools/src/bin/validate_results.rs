@@ -8,9 +8,12 @@
 //! ```
 //!
 //! Checks that `manifest.json` parses, carries the expected schema
-//! (schema 3: a top-level `env` object mapping each set catalogued
-//! `IPCP_*` knob to its string value), that every experiment the
-//! manifest marks as having a sidecar actually has one on disk, and that
+//! (schema 4: a top-level `env` object mapping each set catalogued
+//! `IPCP_*` knob to its string value; the point pool's `points` counters,
+//! which must satisfy `requests == simulated + deduplicated`; and a
+//! `point_log` whose every `figures` entry names an experiment of the
+//! sweep), that every experiment the manifest marks as having a sidecar
+//! actually has one on disk, and that
 //! every `*.data.json` sidecar in the directory is a well-formed figure
 //! document (schema, name, scale, rectangular tables, monotone series).
 //! Positional `--expect` names must each appear in the manifest with
@@ -257,6 +260,60 @@ fn check_bench(c: &mut Checker, path: &Path) {
     }
 }
 
+/// Schema 4's pool records: `points` counters that add up, and a
+/// `point_log` whose entries each name only experiments of this sweep.
+fn check_points(c: &mut Checker, loc: &str, manifest: &JsonValue, names: &[(String, bool, bool)]) {
+    let count = |key: &str| {
+        manifest
+            .get("points")
+            .and_then(|p| p.get(key))
+            .and_then(JsonValue::as_u64)
+    };
+    match (count("requests"), count("simulated"), count("deduplicated")) {
+        (Some(r), Some(s), Some(d)) if r == s + d => {}
+        (Some(r), Some(s), Some(d)) => c.problem(format!(
+            "{loc}: points.requests {r} != simulated {s} + deduplicated {d}"
+        )),
+        _ => c.problem(format!(
+            "{loc}: missing \"points\" requests/simulated/deduplicated counts"
+        )),
+    }
+    let Some(log) = manifest.get("point_log").and_then(JsonValue::as_array) else {
+        c.problem(format!("{loc}: missing or non-array \"point_log\""));
+        return;
+    };
+    if count("simulated").is_some_and(|s| s != log.len() as u64) {
+        c.problem(format!(
+            "{loc}: point_log has {} entries but points.simulated says otherwise",
+            log.len()
+        ));
+    }
+    for (i, entry) in log.iter().enumerate() {
+        let hash = entry.get("hash").and_then(JsonValue::as_str);
+        if !hash.is_some_and(|h| h.len() == 16 && h.chars().all(|ch| ch.is_ascii_hexdigit())) {
+            c.problem(format!(
+                "{loc}: point_log[{i}] has no 16-digit hex \"hash\""
+            ));
+        }
+        let figures = entry.get("figures").and_then(JsonValue::as_array);
+        match figures {
+            Some(figs) if !figs.is_empty() => {
+                for f in figs {
+                    let named = f
+                        .as_str()
+                        .is_some_and(|f| names.iter().any(|(n, _, _)| n == f));
+                    if !named {
+                        c.problem(format!(
+                            "{loc}: point_log[{i}] credits {f:?}, which is not an experiment of this sweep"
+                        ));
+                    }
+                }
+            }
+            _ => c.problem(format!("{loc}: point_log[{i}] names no figures")),
+        }
+    }
+}
+
 fn main() {
     let args = Args::parse();
 
@@ -296,10 +353,10 @@ fn main() {
     let mut manifest_hits: Option<u64> = None;
     if let Some(manifest) = c.load(&manifest_path) {
         let loc = manifest_path.display().to_string();
-        if manifest.get("schema").and_then(JsonValue::as_u64) != Some(3) {
-            c.problem(format!("{loc}: missing or wrong \"schema\" (want 3)"));
+        if manifest.get("schema").and_then(JsonValue::as_u64) != Some(4) {
+            c.problem(format!("{loc}: missing or wrong \"schema\" (want 4)"));
         }
-        // Schema 3: the sweep's provenance is the set knobs, once.
+        // The sweep's provenance is the set knobs, once.
         match manifest.get("env") {
             Some(JsonValue::Obj(entries)) => {
                 for (knob, value) in entries {
@@ -337,6 +394,7 @@ fn main() {
             }
             _ => c.problem(format!("{loc}: missing or empty \"experiments\" array")),
         }
+        check_points(&mut c, &loc, &manifest, &manifest_names);
         manifest_hits = manifest
             .get("simcache")
             .and_then(|s| s.get("hits"))

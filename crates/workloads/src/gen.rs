@@ -200,6 +200,25 @@ impl SynthTrace {
         }
     }
 
+    /// A second view of the same trace: the same name and generator, with
+    /// an empty memo of its own. Streams are identical to this trace's;
+    /// the memo lives only as long as the view, so an owner that drops
+    /// views it no longer needs bounds how many memos stay resident.
+    pub fn fresh(&self) -> Self {
+        Self {
+            inner: Arc::new(SynthTraceInner {
+                name: self.inner.name.clone(),
+                make: Arc::clone(&self.inner.make),
+                memo: Arc::new(Mutex::new(MemoCols::default())),
+            }),
+        }
+    }
+
+    /// True when both handles share one allocation (clones of one trace).
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// Shares this trace's single allocation as an `Arc<dyn TraceSource>`
     /// for the simulator. Pure pointer work: no allocation, no copy.
     pub fn handle(&self) -> Arc<dyn TraceSource + Send + Sync> {
@@ -931,6 +950,33 @@ mod tests {
             let b: Vec<_> = t.stream().take(5000).collect();
             assert_eq!(a, b, "{} must be deterministic", TraceSource::name(&t));
         }
+    }
+
+    #[test]
+    fn fresh_view_streams_the_same_batches_with_its_own_memo() {
+        let t = complex_stride("cplx", &[1, 2], 1, 2, 1 << 16, 2);
+        let view = t.fresh();
+        assert!(!view.ptr_eq(&t) && t.ptr_eq(&t.clone()));
+        assert_eq!(TraceSource::name(&view), "cplx");
+        let drain = |s: &SynthTrace| {
+            let mut stream = s.batch_stream();
+            let mut batch = InstrBatch::default();
+            let mut out = Vec::new();
+            while out.len() < 3 * BATCH_CAPACITY && stream.next_batch(&mut batch) > 0 {
+                out.extend(batch.iter());
+            }
+            out
+        };
+        assert_eq!(drain(&view), drain(&t));
+        assert_eq!(
+            t.inner.memo.lock().unwrap().len(),
+            view.inner.memo.lock().unwrap().len()
+        );
+        drop(view);
+        assert!(
+            Arc::strong_count(&t.inner.memo) == 1,
+            "the view's memo is its own"
+        );
     }
 
     #[test]

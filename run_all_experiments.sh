@@ -1,11 +1,12 @@
 #!/bin/bash
-# Regenerates every figure and table of the paper into results/, in
-# parallel across IPCP_JOBS workers (default: all cores; IPCP_JOBS=1 for
-# the byte-identical serial reference mode).
+# Regenerates every figure and table of the paper into results/, in one
+# process: the figures run one thread each over a pool of IPCP_JOBS
+# simulation workers (default: all cores; IPCP_JOBS=1 for the
+# byte-identical serial reference mode).
 #
 # Usage: ./run_all_experiments.sh [experiment ...]
 #   IPCP_SCALE=paper   10x deeper runs
-#   IPCP_JOBS=N        worker count
+#   IPCP_JOBS=N        simulation workers
 #   IPCP_CSV=dir       also emit CSV copies of every table
 #   IPCP_JSON=dir      JSON sidecar per figure (default: the results dir;
 #                      set empty to disable)
